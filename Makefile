@@ -175,10 +175,12 @@ bench:
 	@echo "wrote BENCH_baseline.json"
 
 # bench-smoke is the CI gate: every benchmark must still run (one
-# iteration) and the zero-alloc guards must hold.
+# iteration) and the zero-alloc guards must hold — including the fluid
+# integrator (0 allocs per Tick) and digest frames (allocations that do
+# not grow with state size).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ . > BENCH_baseline.json
-	$(GO) test ./internal/sim/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ 		-run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath|BenchmarkFluidTick|BenchmarkRegistryDigests' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ ./internal/fluid/ ./internal/snapshot/ . > BENCH_baseline.json
+	$(GO) test ./internal/sim/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ 		./internal/fluid/ ./internal/snapshot/ -run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
 
 # API-compat gate: examples/ is a separate module that can only see the
 # repo's exported API, so building it fails the moment a public signature

@@ -23,6 +23,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -100,6 +101,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// windowTicks is the model RTT in whole ticks, rounded up. Call on a
+// config with positive Tick and RTT.
+func (c Config) windowTicks() sim.Time {
+	return (c.RTT-1)/c.Tick + 1
+}
+
 // Validate reports the first invalid parameter.
 func (c Config) Validate() error {
 	c0 := c.withDefaults()
@@ -114,6 +121,15 @@ func (c Config) Validate() error {
 	}
 	if c0.PromoteTicks < 0 || c0.DemoteTicks < 0 {
 		return fmt.Errorf("fluid: negative hysteresis (%d promote / %d demote ticks)", c0.PromoteTicks, c0.DemoteTicks)
+	}
+	// The per-flow window and hysteresis counters are uint16: a window
+	// past their range would wrap silently, and a threshold past it
+	// could never be reached.
+	if wt := c0.windowTicks(); wt > math.MaxUint16 {
+		return fmt.Errorf("fluid: RTT %v spans %d ticks of %v (max %d)", c0.RTT, wt, c0.Tick, math.MaxUint16)
+	}
+	if c0.PromoteTicks > math.MaxUint16 || c0.DemoteTicks > math.MaxUint16 {
+		return fmt.Errorf("fluid: hysteresis (%d promote / %d demote ticks) exceeds %d", c0.PromoteTicks, c0.DemoteTicks, math.MaxUint16)
 	}
 	if c0.DemoteFrac <= 0 || c0.DemoteFrac > 1 {
 		return fmt.Errorf("fluid: DemoteFrac %v outside (0,1]", c0.DemoteFrac)
@@ -142,16 +158,18 @@ type resource struct {
 	ecn     float64 // mark threshold bytes
 	seam    Seam    // nil for virtual-host resources
 	faulted bool
-
-	// Per-tick integration state.
-	q        float64 // fluid queue depth, bytes
-	demand   float64 // Σ flow rates this tick, bytes/sec
-	served   float64 // fraction of demand served this tick
-	lossFrac float64 // fraction of offered bytes overflowed this tick
-	marked   bool    // combined queue above the ECN threshold
-	hot      bool    // out of the fluid regime: deep queue, loss, or fault
-	calm     bool    // combined queue below DemoteFrac × threshold
+	q       float64 // fluid queue depth, bytes
 }
+
+// Per-tick resource signal bits, one byte per resource in
+// Network.signal. notCalm is stored inverted so a path's bits OR
+// together: any set bit on any hop sets it for the whole path.
+const (
+	sigMarked  = 1 << iota // combined queue above the ECN threshold
+	sigHot                 // out of the fluid regime: deep queue, loss, or fault
+	sigLossy               // overflowed this tick
+	sigNotCalm             // combined queue at or above DemoteFrac × threshold, or faulted
+)
 
 // Flow state bits.
 const (
@@ -182,6 +200,14 @@ type Network struct {
 	flows       []flow
 	windowTicks uint16
 
+	// Per-tick scratch, dense and indexed by ResourceID so the flow
+	// pass reads one float and one byte per hop: Σ flow rates
+	// (bytes/sec), the fraction of that demand served, and the
+	// sig* bits.
+	demand []float64
+	served []float64
+	signal []uint8
+
 	ticks      uint64
 	promotions uint64
 	demotions  uint64
@@ -199,11 +225,7 @@ func New(cfg Config) *Network {
 	}
 	cfg = cfg.withDefaults()
 	cc, _ := transport.FluidSchemeByName(cfg.Scheme, cfg.MSS, cfg.RTT)
-	wt := (cfg.RTT + cfg.Tick - 1) / cfg.Tick
-	if wt < 1 {
-		wt = 1
-	}
-	return &Network{cfg: cfg, cc: cc, windowTicks: uint16(wt)}
+	return &Network{cfg: cfg, cc: cc, windowTicks: uint16(cfg.windowTicks())}
 }
 
 // Config returns the resolved configuration.
@@ -222,6 +244,9 @@ func (n *Network) AddResource(name string, capacity sim.Rate, bufBytes, ecnBytes
 		buf:  float64(bufBytes),
 		ecn:  float64(ecnBytes),
 	})
+	n.demand = append(n.demand, 0)
+	n.served = append(n.served, 0)
+	n.signal = append(n.signal, 0)
 	return ResourceID(len(n.res) - 1)
 }
 
@@ -290,18 +315,24 @@ func (n *Network) Tick(_ sim.Time) {
 	n.ticks++
 	dt := n.cfg.Tick.Seconds()
 
+	// Equal lengths let the compiler drop the served/demand bounds
+	// checks once signal's has passed.
+	signal := n.signal
+	demand, served := n.demand[:len(signal)], n.served[:len(signal)]
+
 	// Demand aggregation: promoted flows send real packets, which the
 	// seam's packet-byte counters already account for.
-	for i := range n.res {
-		n.res[i].demand = 0
-	}
+	clear(demand)
 	for i := range n.flows {
 		f := &n.flows[i]
 		if f.state&stPromoted != 0 {
 			continue
 		}
-		for k := uint8(0); k < f.npath; k++ {
-			n.res[f.path[k]].demand += f.rate
+		// A local copy: read through f, the rate would be reloaded
+		// behind every demand store.
+		rate := f.rate
+		for _, r := range f.path[:f.npath] {
+			demand[r] += rate
 		}
 	}
 
@@ -310,6 +341,7 @@ func (n *Network) Tick(_ sim.Time) {
 	// fluid queue absorbs the excess demand and drains the slack.
 	for i := range n.res {
 		r := &n.res[i]
+		d := demand[i]
 		capLeft := r.cap
 		if r.seam != nil {
 			capLeft -= float64(r.seam.TakePacketBytes()) / dt
@@ -317,57 +349,67 @@ func (n *Network) Tick(_ sim.Time) {
 				capLeft = 0
 			}
 		}
-		r.served = 1
-		r.lossFrac = 0
-		if r.demand > capLeft {
-			r.q += (r.demand - capLeft) * dt
+		srv := 1.0
+		lossy := false
+		if d > capLeft {
+			r.q += (d - capLeft) * dt
 			if r.q > r.buf {
-				lost := r.q - r.buf
-				r.q = r.buf
-				r.lossFrac = lost / (r.demand * dt)
-				if r.lossFrac > 1 {
-					r.lossFrac = 1
-				}
+				r.q = r.buf // the overflow is lost
+				lossy = true
 			}
-			if r.demand > 0 {
-				r.served = capLeft / r.demand
+			if d > 0 {
+				srv = capLeft / d
 			}
 		} else {
-			r.q -= (capLeft - r.demand) * dt
+			r.q -= (capLeft - d) * dt
 			if r.q < 0 {
 				r.q = 0
 			}
 		}
+		served[i] = srv
 		combined := r.q
 		if r.seam != nil {
 			combined += float64(r.seam.PacketQueueBytes())
 		}
-		r.marked = combined > r.ecn
-		r.hot = combined > n.cfg.PromoteQueueFrac*r.buf || r.lossFrac > 0 || r.faulted
-		r.calm = combined < n.cfg.DemoteFrac*r.ecn && !r.faulted
+		var sig uint8
+		if combined > r.ecn {
+			sig |= sigMarked
+		}
+		if combined > n.cfg.PromoteQueueFrac*r.buf || lossy || r.faulted {
+			sig |= sigHot
+		}
+		if lossy {
+			sig |= sigLossy
+		}
+		if !(combined < n.cfg.DemoteFrac*r.ecn) || r.faulted {
+			sig |= sigNotCalm
+		}
+		signal[i] = sig
 		if r.seam != nil {
-			r.seam.SetBackground(sim.Rate(r.demand), int(r.q))
+			r.seam.SetBackground(sim.Rate(d), int(r.q))
 		}
 	}
 
 	// Flow response, in flow-index order (the determinism contract for
 	// promote/demote: hysteresis counters tick and fire in this order).
+	// Goodput accumulates in a local for the same reason as the rate
+	// above, in the same order, and is stored back before every hook
+	// call and at the end.
+	delivered := n.delivered
 	for i := range n.flows {
 		f := &n.flows[i]
 		if f.state&stPromoted != 0 {
-			calm := true
-			for k := uint8(0); k < f.npath; k++ {
-				if !n.res[f.path[k]].calm {
-					calm = false
-					break
-				}
+			var sig uint8
+			for _, r := range f.path[:f.npath] {
+				sig |= signal[r]
 			}
-			if calm {
+			if sig&sigNotCalm == 0 {
 				f.calmTicks++
 			} else {
 				f.calmTicks = 0
 			}
 			if int(f.calmTicks) >= n.cfg.DemoteTicks && n.demote != nil {
+				n.delivered = delivered
 				got := float64(n.demote(i))
 				if got < float64(n.cfg.MinRate) {
 					got = float64(n.cfg.MinRate)
@@ -382,32 +424,20 @@ func (n *Network) Tick(_ sim.Time) {
 			continue
 		}
 
-		marked, lossy, hot, calm := false, false, false, true
+		var sig uint8
 		frac := 1.0
-		for k := uint8(0); k < f.npath; k++ {
-			r := &n.res[f.path[k]]
-			if r.marked {
-				marked = true
-			}
-			if r.hot {
-				hot = true
-			}
-			if r.lossFrac > 0 {
-				lossy = true
-			}
-			if !r.calm {
-				calm = false
-			}
-			if r.served < frac {
-				frac = r.served
+		for _, r := range f.path[:f.npath] {
+			sig |= signal[r]
+			if served[r] < frac {
+				frac = served[r]
 			}
 		}
-		n.delivered += f.rate * frac * dt
+		delivered += f.rate * frac * dt
 
-		if marked {
+		if sig&sigMarked != 0 {
 			f.markedTicks++
 		}
-		if lossy {
+		if sig&sigLossy != 0 {
 			f.lossTicks++
 		}
 		f.winLeft--
@@ -422,12 +452,12 @@ func (n *Network) Tick(_ sim.Time) {
 		}
 
 		if f.state&stPromotable != 0 {
-			if hot {
+			if sig&sigHot != 0 {
 				f.congTicks++
 				f.calmTicks = 0
 			} else {
 				f.congTicks = 0
-				if calm {
+				if sig&sigNotCalm == 0 {
 					f.calmTicks++
 				} else {
 					f.calmTicks = 0
@@ -437,10 +467,12 @@ func (n *Network) Tick(_ sim.Time) {
 				f.state |= stPromoted
 				f.congTicks, f.calmTicks = 0, 0
 				n.promotions++
+				n.delivered = delivered
 				n.promote(i, sim.Rate(f.rate))
 			}
 		}
 	}
+	n.delivered = delivered
 }
 
 // Resources returns the resource count.

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -228,15 +229,15 @@ func TestFluidSeamConservation(t *testing.T) {
 	// staying below the promote (hot) threshold at half the buffer.
 	seam.pktQ = 100 * 1024
 	net.Tick(0)
-	if !net.res[r].marked {
+	if net.signal[r]&sigMarked == 0 {
 		t.Fatal("packet queue above the threshold did not mark the resource")
 	}
-	if net.res[r].hot {
+	if net.signal[r]&sigHot != 0 {
 		t.Fatal("ordinary marking depth must not count as hot (promote trigger)")
 	}
 	seam.pktQ = 600 * 1024 // past half the 1 MB buffer
 	net.Tick(0)
-	if !net.res[r].hot {
+	if net.signal[r]&sigHot == 0 {
 		t.Fatal("deep packet queue did not make the resource hot")
 	}
 }
@@ -316,19 +317,33 @@ func TestFluidPromoteDemoteHysteresis(t *testing.T) {
 	}
 }
 
-// TestFluidValidateRejects: config validation catches the usual traps.
+// TestFluidValidateRejects: config validation catches the usual traps,
+// including settings that overflow the uint16 per-flow counters.
 func TestFluidValidateRejects(t *testing.T) {
-	bad := testConfig()
-	bad.Scheme = "bbr" // no fluid twin
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted a scheme with no fluid twin")
-	}
-	bad = testConfig()
-	bad.DemoteFrac = 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted DemoteFrac > 1")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"scheme without a fluid twin", func(c *Config) { c.Scheme = "bbr" }, false},
+		{"DemoteFrac above 1", func(c *Config) { c.DemoteFrac = 2 }, false},
+		{"RTT window wraps uint16", func(c *Config) { c.RTT = 2 * sim.Second }, false},
+		{"RTT window one past uint16", func(c *Config) { c.RTT = (math.MaxUint16 + 1) * c.Tick }, false},
+		{"DemoteTicks past uint16", func(c *Config) { c.DemoteTicks = math.MaxUint16 + 1 }, false},
+		{"PromoteTicks past uint16", func(c *Config) { c.PromoteTicks = math.MaxUint16 + 1 }, false},
+		{"RTT window at the uint16 limit", func(c *Config) { c.RTT = math.MaxUint16 * c.Tick }, true},
+		{"hysteresis at the uint16 limit", func(c *Config) { c.PromoteTicks, c.DemoteTicks = math.MaxUint16, math.MaxUint16 }, true},
+	} {
+		c := testConfig()
+		tc.edit(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, c, err, tc.ok)
+		}
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config (all defaults) rejected: %v", err)
+	}
+	if wt := New(Config{RTT: math.MaxUint16 * 20 * sim.Microsecond}).windowTicks; wt != math.MaxUint16 {
+		t.Fatalf("window of %d ticks, want %d", wt, math.MaxUint16)
 	}
 }

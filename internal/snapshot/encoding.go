@@ -26,8 +26,43 @@ import (
 // Encoder builds a deterministic binary image. All integers are
 // little-endian fixed width; strings are u32-length-prefixed UTF-8.
 // The zero value is ready to use.
+//
+// Registry.Digests drives Snapshot with a hashing Encoder instead: every
+// byte is folded into an FNV-1a 64 sum as it is written and nothing is
+// kept, so a digest costs no state-sized buffer. The sum equals
+// HashBytes over the image a buffering Encoder would have built. A
+// Snapshotter must therefore only write: Bytes and Len read nil and 0
+// while hashing.
 type Encoder struct {
-	buf []byte
+	buf     []byte
+	hashing bool
+	sum     uint64 // running FNV-1a 64 while hashing
+}
+
+// FNV-1a 64 parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// foldLE folds the n low-order bytes of v, little-endian, into the
+// running sum.
+func (e *Encoder) foldLE(v uint64, n int) {
+	h := e.sum
+	for i := 0; i < n; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	e.sum = h
+}
+
+// foldBytes folds b into the running sum.
+func foldBytes[T string | []byte](e *Encoder, b T) {
+	h := e.sum
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime64
+	}
+	e.sum = h
 }
 
 // Bytes returns the encoded image.
@@ -38,11 +73,19 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // U32 appends a fixed-width uint32.
 func (e *Encoder) U32(v uint32) {
+	if e.hashing {
+		e.foldLE(uint64(v), 4)
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 // U64 appends a fixed-width uint64.
 func (e *Encoder) U64(v uint64) {
+	if e.hashing {
+		e.foldLE(v, 8)
+		return
+	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
@@ -61,18 +104,30 @@ func (e *Encoder) Bool(v bool) {
 	if v {
 		b = 1
 	}
+	if e.hashing {
+		e.foldLE(uint64(b), 1)
+		return
+	}
 	e.buf = append(e.buf, b)
 }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
+	if e.hashing {
+		foldBytes(e, s)
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 
 // Raw appends a length-prefixed byte blob.
 func (e *Encoder) Raw(b []byte) {
 	e.U32(uint32(len(b)))
+	if e.hashing {
+		foldBytes(e, b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 

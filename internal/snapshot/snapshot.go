@@ -138,13 +138,15 @@ func HashBytes(b []byte) uint64 {
 }
 
 // Digests hashes every component's current encoding, in registration
-// order.
+// order. Each hash is HashBytes of the component's Snapshot image,
+// folded in as Snapshot writes it, so no image is built.
 func (r *Registry) Digests() []Digest {
 	out := make([]Digest, 0, len(r.names))
+	e := &Encoder{hashing: true}
 	for _, name := range r.names {
-		var e Encoder
-		r.byName[name].Snapshot(&e)
-		out = append(out, Digest{Component: name, Hash: HashBytes(e.Bytes())})
+		e.sum = fnvOffset64
+		r.byName[name].Snapshot(e)
+		out = append(out, Digest{Component: name, Hash: e.sum})
 	}
 	return out
 }

@@ -123,28 +123,28 @@ func (tb *Testbed) buildFluid() {
 		vDown[v] = net.AddResource(fmt.Sprintf("vdown/%d", v), lrate, buf, ecn)
 	}
 
-	// trunkPath mirrors the fabric's static routing between racks: the
-	// leaf–spine picks its spine by destination (the fabric's ECMP
+	// appendTrunks mirrors the fabric's static routing between racks:
+	// the leaf–spine picks its spine by destination (the fabric's ECMP
 	// rule), the dumbbell has one pair.
-	trunkPath := func(a, b, dst int) []fluid.ResourceID {
+	appendTrunks := func(path []fluid.ResourceID, a, b, dst int) []fluid.ResourceID {
 		if a == b || len(trunkRes) == 0 {
-			return nil
+			return path
 		}
 		switch topo.Kind {
 		case fabric.TopoLeafSpine:
 			sp := dst % spines
-			return []fluid.ResourceID{
-				trunkRes[2*(a*spines+sp)],
-				trunkRes[2*(b*spines+sp)+1],
-			}
+			return append(path, trunkRes[2*(a*spines+sp)], trunkRes[2*(b*spines+sp)+1])
 		case fabric.TopoDumbbell:
 			if a == 0 {
-				return []fluid.ResourceID{trunkRes[0]}
+				return append(path, trunkRes[0])
 			}
-			return []fluid.ResourceID{trunkRes[1]}
+			return append(path, trunkRes[1])
 		}
-		return nil
+		return path
 	}
+	// Every path is built in one fixed buffer (AddFlow copies it), so
+	// the population costs no per-flow allocation.
+	var pathBuf [4]fluid.ResourceID
 
 	// Promotable flows first (flow index == twin index), between real
 	// sender/receiver pairs over the real seams.
@@ -154,11 +154,11 @@ func (tb *Testbed) buildFluid() {
 		for j := 0; j < fbCfg.Promotable; j++ {
 			si := len(tb.Receivers) + j%len(tb.Senders)
 			ri := j % len(tb.Receivers)
-			path := []fluid.ResourceID{upRes[si]}
-			path = append(path, trunkPath(
+			path := append(pathBuf[:0], upRes[si])
+			path = appendTrunks(path,
 				rackFor(topo, si, opts.Receivers),
 				rackFor(topo, ri, opts.Receivers),
-				int(tb.Receivers[ri].ID()))...)
+				int(tb.Receivers[ri].ID()))
 			path = append(path, downRes[ri])
 			idx := net.AddFlow(path...)
 			net.SetPromotable(idx, true)
@@ -175,8 +175,8 @@ func (tb *Testbed) buildFluid() {
 	for j := fbCfg.Promotable; j < fbCfg.Flows; j++ {
 		src := j % fbCfg.Hosts
 		dst := (src + 1 + (j/fbCfg.Hosts)%(fbCfg.Hosts-1)) % fbCfg.Hosts
-		path := []fluid.ResourceID{vUp[src]}
-		path = append(path, trunkPath(src%racks, dst%racks, dst)...)
+		path := append(pathBuf[:0], vUp[src])
+		path = appendTrunks(path, src%racks, dst%racks, dst)
 		path = append(path, vDown[dst])
 		net.AddFlow(path...)
 	}
