@@ -35,9 +35,10 @@
 #                   4 shards -> BENCH_parallel.json (speedup report; the
 #                   recorded speedup is only meaningful on >=4 cores)
 #   make parallel-determinism
-#                   sharded-engine gate: single-shard goldens unchanged,
-#                   multi-shard runs replay-deterministic, chaos
-#                   acceptance at 4 shards
+#                   sharded-engine gate: one builder (a serial run is
+#                   the one-engine placement; goldens byte-identical at
+#                   -shards 1), multi-shard runs replay-deterministic,
+#                   chaos acceptance at 4 shards
 #   make crucible-smoke
 #                   chaos search over fixed seeds (must pass clean) plus
 #                   the planted-canary hunt (must find and minimize it)
@@ -109,14 +110,15 @@ bench-fluid:
 bench-parallel:
 	$(GO) run ./cmd/hostcc-bench -bench-parallel BENCH_parallel.json -leaves 4 -spines 2 -senders 128 -seed 42
 
-# Sharded-engine determinism gate: (1) single-shard runs still match the
-# golden digests byte for byte (the -shards 1 path is the untouched
-# serial engine); (2) multi-shard runs are run-twice deterministic
-# (VerifyReplay executes every sharded run twice and compares digest
-# timelines frame by frame); (3) the chaos acceptance rows hold at 4
-# shards.
+# Sharded-engine determinism gate: (1) one builder; a serial run is the
+# one-engine placement; goldens byte-identical at -shards 1, and the
+# fabric placement tests hold; (2) multi-shard runs are run-twice
+# deterministic (VerifyReplay executes every sharded run twice and
+# compares digest timelines frame by frame); (3) the chaos acceptance
+# rows hold at 4 shards.
 parallel-determinism:
-	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestTopologyGoldenDigests' -count=1
+	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestTopologyGoldenDigests|TestNewValidates' -count=1
+	$(GO) test ./internal/fabric/ -run 'TestBuild|TestPlacement' -count=1
 	$(GO) test ./internal/testbed/ ./internal/sim/ -run 'TestSharded|TestShard' -count=1
 	$(GO) run ./cmd/hostcc-bench -topology leafspine -leaves 4 -spines 2 -senders 32 -seed 42 -shards 4
 

@@ -225,7 +225,7 @@ func TestBuildErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Build(sim.NewEngine(1), c.topo, DefaultLinkConfig(), c.hosts, nil, nil)
+			_, err := Build(serial(sim.NewEngine(1)), c.topo, DefaultLinkConfig(), c.hosts, nil)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid build rejected: %v", err)
@@ -252,7 +252,7 @@ func TestBuildPausePropagatesAcrossTrunk(t *testing.T) {
 		{ID: 1, Rack: 0, Deliver: func(*packet.Packet) {}},
 		{ID: 2, Rack: 1, Deliver: func(*packet.Packet) {}},
 	}
-	fb, err := Build(e, topo, DefaultLinkConfig(), hosts, nil, nil)
+	fb, err := Build(serial(e), topo, DefaultLinkConfig(), hosts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,10 +197,11 @@ type Fabric struct {
 	// index-parallel to Trunks (pause injection and instrumentation).
 	TrunkPorts []TrunkPort
 
-	// SwitchShards, AccessShards and TrunkShards record which shard owns
-	// each switch, access link and trunk link (index-parallel to Switches,
-	// Access and Trunks). Populated only by BuildSharded; a component must
-	// be mutated — fault injection included — only from its owning shard.
+	// SwitchShards, AccessShards and TrunkShards record which engine of
+	// the placement owns each switch, access link and trunk link
+	// (index-parallel to Switches, Access and Trunks; all 0 on a serial
+	// run). A component must be mutated — fault injection included — only
+	// from its owning engine.
 	SwitchShards []int
 	AccessShards []int
 	TrunkShards  []int
@@ -259,18 +260,100 @@ func (f *Fabric) SwitchName(i int) string {
 	return "switch"
 }
 
-// Build compiles the topology: switches are created leaves-first, hosts
-// attach in slice order (up link, then down link, then switch port — the
-// exact construction order of the pre-topology star, so star digests are
-// unchanged), trunks attach after the hosts, and static shortest-path
-// routes are installed last. The construction makes no engine calls
-// beyond handler registration, so it is digest-deterministic.
-func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, pool *packet.Pool, tr *telemetry.Tracer) (*Fabric, error) {
+// Placement says which engine each fabric component runs on. A serial
+// run is the one-engine placement; a sharded run spreads the switches
+// (and the hosts of each rack) over the engines of a ShardGroup, and
+// every trunk whose two ends land on different engines becomes a shard
+// boundary.
+type Placement struct {
+	// Engines are the engines components are built on (at least one).
+	Engines []*sim.Engine
+	// Pools holds one packet pool per engine: each link recycles into
+	// its own engine's pool (a pool is only ever touched by its engine,
+	// and Pool.Put adopts packets allocated elsewhere). nil disables
+	// recycling.
+	Pools []*packet.Pool
+	// SwitchShard maps a switch index (into Fabric.Switches) to an
+	// engine index; a host runs on its rack's switch's engine. nil
+	// places everything on engine 0.
+	SwitchShard func(i int) int
+	// Group couples the engines. It is needed only when a trunk's two
+	// ends land on different engines.
+	Group *sim.ShardGroup
+}
+
+// TrunkRoute returns the trunks (indices into Fabric.Trunks and
+// TrunkPorts) that a packet for destination dst crosses from rack src to
+// rack dstRack, in hop order; n is 0 within a rack. The leaf–spine picks
+// its spine by destination ID (deterministic ECMP: all traffic to one
+// destination takes one spine), the dumbbell has one trunk per
+// direction. It is the routing rule Build installs, shared with the
+// fluid tier.
+func (t Topology) TrunkRoute(src, dstRack, dst int) (hops [2]int, n int) {
+	if src == dstRack {
+		return hops, 0
+	}
+	switch t.Kind {
+	case TopoLeafSpine:
+		sp := dst % t.spines()
+		return [2]int{t.trunkIndex(src, sp), t.trunkIndex(dstRack, sp) + 1}, 2
+	case TopoDumbbell:
+		return [2]int{src}, 1
+	}
+	return hops, 0
+}
+
+// trunkIndex is the index of leaf's trunk up to spine; the spine's trunk
+// back down to the leaf follows at +1.
+func (t Topology) trunkIndex(leaf, spine int) int { return 2 * (leaf*t.spines() + spine) }
+
+// Build compiles the topology onto the placement's engines: switches
+// are created leaves-first, hosts attach in slice order (up link, then
+// down link, then switch port — the exact construction order of the
+// pre-topology star, so star digests are unchanged), trunks attach after
+// the hosts, and static shortest-path routes are installed last. The
+// construction makes no engine calls beyond handler registration, so it
+// is digest-deterministic.
+//
+// A trunk whose ends land on different engines exports its propagation
+// delay as lookahead (Link.BindBoundary); PFC pause propagation across
+// it rides its own control boundary with the same delay, so the pause
+// frame's flight time is preserved and the lookahead is unchanged. The
+// star has no trunks to cut and so must run on one engine, as must a
+// tracer (a shared tracer would be written from every engine).
+func Build(pl Placement, topo Topology, access LinkConfig, hosts []HostPort, tr *telemetry.Tracer) (*Fabric, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if err := access.Validate(); err != nil {
 		return nil, err
+	}
+	engines := len(pl.Engines)
+	if pl.Pools != nil && len(pl.Pools) != engines {
+		return nil, fmt.Errorf("fabric: %d pools for %d engines", len(pl.Pools), engines)
+	}
+	if engines > 1 && topo.Kind == TopoStar {
+		return nil, fmt.Errorf("fabric: %d engines need a multi-switch topology, not star", engines)
+	}
+	if engines > 1 && tr != nil {
+		return nil, fmt.Errorf("fabric: a tracer needs one engine, not %d", engines)
+	}
+	swShard := pl.SwitchShard
+	if swShard == nil {
+		swShard = func(int) int { return 0 }
+	}
+	for i := 0; i < topo.Switches(); i++ {
+		s := swShard(i)
+		if s < 0 || s >= engines {
+			return nil, fmt.Errorf("fabric: switch %d assigned to engine %d outside [0,%d)", i, s, engines)
+		}
+		if s0 := swShard(0); s != s0 && pl.Group == nil {
+			return nil, fmt.Errorf("fabric: switches on engines %d and %d need a ShardGroup for their trunks", s0, s)
+		}
+	}
+	pools := pl.Pools
+	if pools == nil {
+		pools = make([]*packet.Pool, engines)
 	}
 	swcfg := topo.Switch
 	if swcfg == (SwitchConfig{}) {
@@ -311,22 +394,33 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 		}
 	}
 
-	f := &Fabric{Topo: topo, sends: make([]func(*packet.Packet), len(hosts)), accessDelay: access.Delay}
-	for i := 0; i < topo.Switches(); i++ {
-		sw := NewSwitch(e, swcfg)
+	f := &Fabric{
+		Topo:         topo,
+		sends:        make([]func(*packet.Packet), len(hosts)),
+		accessDelay:  access.Delay,
+		AccessShards: make([]int, 0, 2*len(hosts)),
+	}
+	names := make([]string, topo.Switches())
+	for i := range names {
+		names[i] = f.SwitchName(i)
+		sw := NewSwitch(pl.Engines[swShard(i)], swcfg)
 		if tr != nil {
-			sw.SetTracer(tr, f.SwitchName(i))
+			sw.SetTracer(tr, names[i])
 		}
 		f.Switches = append(f.Switches, sw)
+		f.SwitchShards = append(f.SwitchShards, swShard(i))
 	}
 	leaves := f.Switches[:racks]
 
-	// Host access links, in host order. With PFC on, the up link's
-	// delivery is ingress-tracked so the leaf can XOFF the host NIC, and
-	// the leaf's port toward the host is recorded so the NIC can pause
-	// the leaf in turn (HostPauser).
+	// Host access links, in host order. A host lives on its rack's
+	// engine, so both access links are engine-local (never boundaries).
+	// With PFC on, the up link's delivery is ingress-tracked so the leaf
+	// can XOFF the host NIC, and the leaf's port toward the host is
+	// recorded so the NIC can pause the leaf in turn (HostPauser).
 	for i, h := range hosts {
 		sw := leaves[h.Rack]
+		shard := swShard(h.Rack)
+		e := pl.Engines[shard]
 		var up *Link
 		if pfcOn {
 			pauseNIC := h.Pause
@@ -338,116 +432,91 @@ func Build(e *sim.Engine, topo Topology, access LinkConfig, hosts []HostPort, po
 		} else {
 			up = NewLink(e, access, sw.Inject)
 		}
-		up.SetPool(pool)
+		up.SetPool(pools[shard])
 		down := NewLink(e, access, h.Deliver)
-		down.SetPool(pool)
+		down.SetPool(pools[shard])
 		port := sw.AttachPort(h.ID, down)
 		f.hostPorts = append(f.hostPorts, hostPortRef{sw: sw, port: port})
 		f.sends[i] = up.Send
 		f.Access = append(f.Access, up, down)
+		f.AccessShards = append(f.AccessShards, shard, shard)
 	}
 
-	// Trunks and routes.
+	// trunk wires one directed inter-switch link from switch a to switch
+	// b: the link lives on a's engine and — when the ends straddle
+	// engines — delivery crosses a boundary. With PFC on, b tracks the
+	// trunk as an ingress whose XOFF pauses a's port (pause propagation
+	// across tiers, the loop a pfc-cycle verdict names); across engines
+	// that pause rides back over its own boundary.
+	trunk := func(a, b int) {
+		sa, sb := swShard(a), swShard(b)
+		aSw, bSw := f.Switches[a], f.Switches[b]
+		var ig *Ingress
+		var ln *Link
+		if pfcOn {
+			ln = NewLink(pl.Engines[sa], trunkCfg, func(p *packet.Packet) { bSw.InjectFrom(ig, p) })
+		} else {
+			ln = NewLink(pl.Engines[sa], trunkCfg, bSw.Inject)
+		}
+		ln.SetPool(pools[sa])
+		port := aSw.AttachTrunk(ln)
+		if sa != sb {
+			ln.BindBoundary(pl.Group, sa, sb)
+		}
+		if pfcOn {
+			if sa == sb {
+				ig = bSw.NewIngress(names[a], trunkCfg.Delay,
+					func(on bool) { aSw.PortPause(port, on) })
+			} else {
+				// The pause frame crosses back over its own boundary with the
+				// trunk's flight delay (registered as lookahead like any other
+				// boundary); the ingress itself asserts with zero local delay.
+				pb := pl.Group.Connect(sb, sa, trunkCfg.Delay, func(a0, _ uint64, _ any) {
+					aSw.PortPause(port, a0 != 0)
+				})
+				be := pl.Engines[sb]
+				ig = bSw.NewIngress(names[a], 0, func(on bool) {
+					v := uint64(0)
+					if on {
+						v = 1
+					}
+					pb.Send(be.Now()+trunkCfg.Delay, v, 0, nil)
+				})
+			}
+		}
+		f.Trunks = append(f.Trunks, ln)
+		f.TrunkShards = append(f.TrunkShards, sa)
+		f.TrunkPorts = append(f.TrunkPorts, TrunkPort{Sw: aSw, Port: port, From: a, To: b,
+			Name: names[a] + "->" + names[b]})
+	}
 	switch topo.Kind {
 	case TopoLeafSpine:
-		spines := f.Switches[racks:]
-		// leafUp[l][s] is leaf l's port toward spine s; spineDown[s][l]
-		// is spine s's port toward leaf l.
-		leafUp := make([][]PortID, racks)
-		spineDown := make([][]PortID, len(spines))
-		for s := range spineDown {
-			spineDown[s] = make([]PortID, racks)
-		}
-		for l := range leaves {
-			leafUp[l] = make([]PortID, len(spines))
-			for s := range spines {
-				lf, sp := leaves[l], spines[s]
-				// With PFC on, each trunk's receiving switch tracks the
-				// trunk as an ingress whose XOFF pauses the transmitting
-				// switch's port — pause propagation across tiers, and the
-				// loop a pfc-cycle verdict names.
-				var up, down *Link
-				var upIg, downIg *Ingress
-				if pfcOn {
-					up = NewLink(e, trunkCfg, func(p *packet.Packet) { sp.InjectFrom(upIg, p) })
-				} else {
-					up = NewLink(e, trunkCfg, sp.Inject)
-				}
-				up.SetPool(pool)
-				leafUp[l][s] = lf.AttachTrunk(up)
-				if pfcOn {
-					upPort := leafUp[l][s]
-					upIg = sp.NewIngress(fmt.Sprintf("leaf%d", l), trunkCfg.Delay,
-						func(on bool) { lf.PortPause(upPort, on) })
-				}
-				if pfcOn {
-					down = NewLink(e, trunkCfg, func(p *packet.Packet) { lf.InjectFrom(downIg, p) })
-				} else {
-					down = NewLink(e, trunkCfg, lf.Inject)
-				}
-				down.SetPool(pool)
-				spineDown[s][l] = sp.AttachTrunk(down)
-				if pfcOn {
-					downPort := spineDown[s][l]
-					downIg = lf.NewIngress(fmt.Sprintf("spine%d", s), trunkCfg.Delay,
-						func(on bool) { sp.PortPause(downPort, on) })
-				}
-				f.Trunks = append(f.Trunks, up, down)
-				f.TrunkPorts = append(f.TrunkPorts,
-					TrunkPort{Sw: lf, Port: leafUp[l][s], From: l, To: racks + s,
-						Name: fmt.Sprintf("leaf%d->spine%d", l, s)},
-					TrunkPort{Sw: sp, Port: spineDown[s][l], From: racks + s, To: l,
-						Name: fmt.Sprintf("spine%d->leaf%d", s, l)})
-			}
-		}
-		for _, h := range hosts {
-			// Deterministic ECMP: all traffic to one destination takes
-			// one spine, chosen by destination ID.
-			spine := int(h.ID) % len(spines)
-			for s := range spines {
-				spines[s].SetRoute(h.ID, spineDown[s][h.Rack])
-			}
-			for l := range leaves {
-				if l != h.Rack {
-					leaves[l].SetRoute(h.ID, leafUp[l][spine])
-				}
+		for l := 0; l < racks; l++ {
+			for s := racks; s < len(f.Switches); s++ {
+				trunk(l, s)
+				trunk(s, l)
 			}
 		}
 	case TopoDumbbell:
-		left, right := f.Switches[0], f.Switches[1]
-		var lr, rl *Link
-		var lrIg, rlIg *Ingress
-		if pfcOn {
-			lr = NewLink(e, trunkCfg, func(p *packet.Packet) { right.InjectFrom(lrIg, p) })
-		} else {
-			lr = NewLink(e, trunkCfg, right.Inject)
+		trunk(0, 1)
+		trunk(1, 0)
+	}
+
+	// Routes: every spine reaches each leaf over its own down trunk; any
+	// other switch reaches a host in another rack through the first hop
+	// of TrunkRoute (hosts in its own rack sit on attached ports).
+	for _, h := range hosts {
+		if topo.Kind == TopoLeafSpine {
+			for s := 0; s < topo.spines(); s++ {
+				tp := f.TrunkPorts[topo.trunkIndex(h.Rack, s)+1]
+				tp.Sw.SetRoute(h.ID, tp.Port)
+			}
 		}
-		lr.SetPool(pool)
-		lrPort := left.AttachTrunk(lr)
-		if pfcOn {
-			lrIg = right.NewIngress("sw0", trunkCfg.Delay,
-				func(on bool) { left.PortPause(lrPort, on) })
-		}
-		if pfcOn {
-			rl = NewLink(e, trunkCfg, func(p *packet.Packet) { left.InjectFrom(rlIg, p) })
-		} else {
-			rl = NewLink(e, trunkCfg, left.Inject)
-		}
-		rl.SetPool(pool)
-		rlPort := right.AttachTrunk(rl)
-		if pfcOn {
-			rlIg = left.NewIngress("sw1", trunkCfg.Delay,
-				func(on bool) { right.PortPause(rlPort, on) })
-		}
-		f.Trunks = append(f.Trunks, lr, rl)
-		f.TrunkPorts = append(f.TrunkPorts,
-			TrunkPort{Sw: left, Port: lrPort, From: 0, To: 1, Name: "sw0->sw1"},
-			TrunkPort{Sw: right, Port: rlPort, From: 1, To: 0, Name: "sw1->sw0"})
-		for _, h := range hosts {
-			if h.Rack == 0 {
-				right.SetRoute(h.ID, rlPort)
-			} else {
-				left.SetRoute(h.ID, lrPort)
+		for r := 0; r < racks; r++ {
+			if r != h.Rack {
+				hops, _ := topo.TrunkRoute(r, h.Rack, int(h.ID))
+				tp := f.TrunkPorts[hops[0]]
+				tp.Sw.SetRoute(h.ID, tp.Port)
 			}
 		}
 	}

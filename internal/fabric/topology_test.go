@@ -150,13 +150,13 @@ func TestBuildRejectsBadHosts(t *testing.T) {
 	e := sim.NewEngine(1)
 	lcfg := DefaultLinkConfig()
 	sink := func(p *packet.Packet) {}
-	if _, err := Build(e, Star(), lcfg, []HostPort{{ID: 1, Rack: 1, Deliver: sink}}, nil, nil); err == nil {
+	if _, err := Build(serial(e), Star(), lcfg, []HostPort{{ID: 1, Rack: 1, Deliver: sink}}, nil); err == nil {
 		t.Error("rack 1 on a one-rack star accepted")
 	}
-	if _, err := Build(e, Dumbbell(), lcfg, []HostPort{{ID: 0, Rack: 0, Deliver: sink}}, nil, nil); err == nil {
+	if _, err := Build(serial(e), Dumbbell(), lcfg, []HostPort{{ID: 0, Rack: 0, Deliver: sink}}, nil); err == nil {
 		t.Error("zero host ID accepted")
 	}
-	if _, err := Build(e, Topology{Kind: TopologyKind(7)}, lcfg, nil, nil, nil); err == nil {
+	if _, err := Build(serial(e), Topology{Kind: TopologyKind(7)}, lcfg, nil, nil); err == nil {
 		t.Error("unknown topology kind accepted by Build")
 	}
 }
@@ -176,7 +176,7 @@ func TestLeafSpineRouting(t *testing.T) {
 		mkHost(1, 0), mkHost(2, 0),
 		mkHost(3, 1), mkHost(4, 1),
 	}
-	fb, err := Build(e, LeafSpine(2, 2), lcfg, hosts, nil, nil)
+	fb, err := Build(serial(e), LeafSpine(2, 2), lcfg, hosts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestLeafSpineRouting(t *testing.T) {
 // wiring bug, not a droppable event.
 func TestInjectUnknownHostPanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	fb, err := Build(e, Star(), DefaultLinkConfig(),
-		[]HostPort{{ID: 1, Rack: 0, Deliver: func(*packet.Packet) {}}}, nil, nil)
+	fb, err := Build(serial(e), Star(), DefaultLinkConfig(),
+		[]HostPort{{ID: 1, Rack: 0, Deliver: func(*packet.Packet) {}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

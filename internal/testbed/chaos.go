@@ -257,7 +257,7 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		return ChaosResult{}, nil, err
 	}
 	wd := core.DefaultWatchdogConfig()
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.Seed = cfg.Seed
 	opts.CC = scheme.Factory()
 	if scheme.Lossless {

@@ -7,7 +7,7 @@ import "testing"
 // EXPERIMENTS.md reproducible.
 func TestDeterminism(t *testing.T) {
 	run := func() Metrics {
-		opts := DefaultOptions()
+		opts := DefaultConfig()
 		opts.Degree = 3
 		opts.HostCC = true
 		opts.MinRTO = 5_000_000
@@ -28,7 +28,7 @@ func TestDeterminism(t *testing.T) {
 func TestSeedChangesOutcome(t *testing.T) {
 	// DDIO on: cache pollution consumes the seeded RNG on the datapath.
 	run := func(seed int64) Metrics {
-		opts := DefaultOptions()
+		opts := DefaultConfig()
 		opts.Seed = seed
 		opts.Degree = 3
 		opts.DDIO = true

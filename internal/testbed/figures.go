@@ -63,8 +63,8 @@ var (
 	}
 )
 
-func (s Scale) throughputOpts() Options {
-	o := DefaultOptions()
+func (s Scale) throughputOpts() Config {
+	o := DefaultConfig()
 	o.Warmup = s.Warmup
 	o.Measure = s.Measure
 	o.MinRTO = s.ThroughputMinRTO
@@ -209,7 +209,7 @@ func (r LatencyRow) String() string {
 
 // latencyScenario runs NetApp-L against one background configuration.
 func latencyScenario(s Scale, size int, scenario string, ddio bool) LatencyRow {
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.DDIO = ddio
 	opts.MinRTO = s.LatencyMinRTO // 0 keeps the real 200 ms
 	switch scenario {
@@ -333,7 +333,7 @@ type Trace struct {
 }
 
 // traceRun samples hostCC's signals every µs for the window.
-func traceRun(opts Options, label string, warmup, window sim.Time) Trace {
+func traceRun(opts Config, label string, warmup, window sim.Time) Trace {
 	tb := New(opts)
 	tb.StartNetAppT()
 	tb.E.RunUntil(warmup)
@@ -549,7 +549,7 @@ func RunFigure17(s Scale) []SensitivityRow {
 }
 
 // RunNetAppTOnly is a convenience for examples: one throughput run.
-func RunNetAppTOnly(opts Options) Metrics {
+func RunNetAppTOnly(opts Config) Metrics {
 	tb := New(opts)
 	tb.StartNetAppT()
 	return tb.RunWindow()

@@ -85,7 +85,6 @@ func (tb *Testbed) buildFluid() {
 	net := fluid.New(fbCfg.fluidConfig(opts.MTU))
 	topo := opts.Topology
 	racks := topo.Racks()
-	spines := topo.Switches() - racks
 
 	swcfg := topo.Switch
 	if swcfg == (fabric.SwitchConfig{}) {
@@ -123,22 +122,11 @@ func (tb *Testbed) buildFluid() {
 		vDown[v] = net.AddResource(fmt.Sprintf("vdown/%d", v), lrate, buf, ecn)
 	}
 
-	// appendTrunks mirrors the fabric's static routing between racks:
-	// the leaf–spine picks its spine by destination (the fabric's ECMP
-	// rule), the dumbbell has one pair.
+	// appendTrunks follows the fabric's own routing rule between racks.
 	appendTrunks := func(path []fluid.ResourceID, a, b, dst int) []fluid.ResourceID {
-		if a == b || len(trunkRes) == 0 {
-			return path
-		}
-		switch topo.Kind {
-		case fabric.TopoLeafSpine:
-			sp := dst % spines
-			return append(path, trunkRes[2*(a*spines+sp)], trunkRes[2*(b*spines+sp)+1])
-		case fabric.TopoDumbbell:
-			if a == 0 {
-				return append(path, trunkRes[0])
-			}
-			return append(path, trunkRes[1])
+		hops, n := topo.TrunkRoute(a, b, dst)
+		for _, t := range hops[:n] {
+			path = append(path, trunkRes[t])
 		}
 		return path
 	}

@@ -1,9 +1,11 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -112,7 +114,7 @@ func TestShardedChaosAcceptance(t *testing.T) {
 // waiting-on-lookahead, not as a wedged cycle — a healthy loaded run is
 // never aborted.
 func TestShardedSentinelNoFalseStall(t *testing.T) {
-	o := DefaultOptions()
+	o := DefaultConfig()
 	o.Topology = fabric.LeafSpine(2, 2)
 	o.Senders = 8
 	o.Receivers = 2
@@ -139,26 +141,72 @@ func TestShardedSentinelNoFalseStall(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation: sharding requires a topology with trunks
-// to cut (star has none) and is incompatible with the shared-tracer
-// telemetry path.
-func TestShardedConfigValidation(t *testing.T) {
-	o := DefaultOptions()
+// TestNewValidates: New is the one builder for serial and sharded runs,
+// so every config Validate rejects must panic out of New with Validate's
+// own message, at one engine and (where the config can shard) at two —
+// including configs that would otherwise build (FaultTrunks on a star
+// arms a plan with no flap links) or fail deep inside construction (an
+// out-of-range storm trunk indexes past Fabric.TrunkPorts).
+func TestNewValidates(t *testing.T) {
+	flap := &faults.Plan{Name: "flap", Injections: []faults.Injection{
+		faults.OneShot(faults.LinkFlap, sim.Millisecond, 100*sim.Microsecond),
+	}}
+	storm := &faults.Plan{Name: "storm", Injections: []faults.Injection{
+		faults.OneShot(faults.PauseStorm, sim.Millisecond, 100*sim.Microsecond),
+	}}
+	leafspine := fabric.LeafSpine(2, 2)
+	cases := []struct {
+		name      string
+		edit      func(o *Config)
+		shardable bool // also try the config at Shards: 2
+	}{
+		{"star-sharded", func(o *Config) { o.Shards = 2 }, false},
+		{"telemetry-sharded", func(o *Config) {
+			o.Topology, o.Telemetry, o.Shards = leafspine, true, 2
+		}, false},
+		{"negative-shards", func(o *Config) { o.Shards = -1 }, false},
+		{"fault-trunks-star", func(o *Config) { o.Faults, o.FaultTrunks = flap, true }, false},
+		{"negative-degree", func(o *Config) { o.Topology, o.Degree = leafspine, -1 }, true},
+		{"negative-warmup", func(o *Config) { o.Topology, o.Warmup = leafspine, -sim.Millisecond }, true},
+		{"storm-trunk-range", func(o *Config) {
+			o.Topology, o.Lossless, o.Faults, o.StormTrunks = leafspine, true, storm, []int{99}
+		}, true},
+	}
+	for _, c := range cases {
+		shardCounts := []int{0}
+		if c.shardable {
+			shardCounts = append(shardCounts, 2)
+		}
+		for _, shards := range shardCounts {
+			name := c.name
+			if c.shardable {
+				name += fmt.Sprintf("/shards=%d", shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				o := DefaultConfig()
+				o.Shards = shards
+				c.edit(&o)
+				want := o.Validate()
+				if want == nil {
+					t.Fatal("Validate accepted the config")
+				}
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					if !ok || err.Error() != want.Error() {
+						t.Fatalf("New panicked with %v, want Validate's %q", r, want)
+					}
+				}()
+				tb := New(o)
+				tb.Close()
+			})
+		}
+	}
+
+	o := DefaultConfig()
+	o.Topology = leafspine
 	o.Shards = 2
-	if err := o.Validate(); err == nil {
-		t.Error("star topology with 2 shards validated; want error")
-	}
-	o.Topology = fabric.LeafSpine(2, 2)
-	o.Telemetry = true
-	if err := o.Validate(); err == nil {
-		t.Error("telemetry with 2 shards validated; want error")
-	}
-	o.Telemetry = false
 	if err := o.Validate(); err != nil {
 		t.Errorf("valid sharded config rejected: %v", err)
-	}
-	o.Shards = -1
-	if err := o.Validate(); err == nil {
-		t.Error("negative shard count validated; want error")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Registry builds the snapshot registry for this testbed: every stateful
 // component, named and ordered along the datapath (engine first, then the
 // receiver wire-to-app, then senders, fabric, hostCC, faults). Two runs
-// built from identical Options produce identical registries, which is what
+// built from identical Configs produce identical registries, which is what
 // makes their digest timelines comparable — and makes FirstDivergence
 // report the most upstream divergent component.
 //

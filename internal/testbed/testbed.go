@@ -28,8 +28,7 @@ import (
 //
 // Naming convention (repo-wide): the parameter struct a package's New
 // function takes is named Config, built by DefaultConfig, and checked by
-// Validate. testbed.Options is a deprecated alias from before the
-// convention.
+// Validate.
 type Config struct {
 	Seed    int64
 	MTU     int
@@ -153,11 +152,6 @@ type Config struct {
 	mba *cpu.MBAConfig
 }
 
-// Options is the pre-convention name for Config.
-//
-// Deprecated: use Config.
-type Options = Config
-
 // trunkCount returns how many directed trunks (Fabric.TrunkPorts entries)
 // Build will create for the topology.
 func trunkCount(t fabric.Topology) int {
@@ -264,11 +258,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// DefaultOptions is the pre-convention name for DefaultConfig.
-//
-// Deprecated: use DefaultConfig.
-func DefaultOptions() Options { return DefaultConfig() }
-
 func (o Config) withDefaults() Config {
 	d := DefaultConfig()
 	if o.Seed == 0 {
@@ -304,7 +293,10 @@ type Testbed struct {
 	E *sim.Engine
 	// Group is the parallel shard group (nil when Opts.Shards <= 1).
 	Group *sim.ShardGroup
-	Opts  Options
+	Opts  Config
+	// engines holds every engine of the run: E alone when serial, the
+	// group's shards in order when sharded.
+	engines []*sim.Engine
 	// Receiver, Sw and HCC are the primary receiver, first switch and
 	// primary hostCC instance — the full sets live in Receivers,
 	// Fabric.Switches and HCCs (all length 1 in the default star).
@@ -323,12 +315,12 @@ type Testbed struct {
 	// Trunks holds the inter-switch links (empty in the star) — the
 	// LinkFlap seam under Config.FaultTrunks.
 	Trunks []*fabric.Link
-	// Injector is the armed fault injector (nil without Options.Faults).
-	// When sharded it is shard 0's injector; every shard arms the same
-	// plan against the seams it owns, and Injectors holds all of them.
+	// Injector is the armed fault injector (nil without Config.Faults):
+	// shard 0's injector. Every shard arms the same plan against the
+	// seams it owns, and Injectors holds all of them (one when serial).
 	Injector  *faults.Injector
 	Injectors []*faults.Injector
-	// Inv is the invariant checker (nil without Options.Invariants).
+	// Inv is the invariant checker (nil without Config.Invariants).
 	Inv *core.InvariantChecker
 
 	// FluidNet is the fluid background tier (nil without
@@ -358,7 +350,7 @@ type Testbed struct {
 // receivers hold IDs 1..R and the senders R+1, R+2, ...
 const receiverID packet.HostID = 1
 
-// eventHeapHint derives the Reserve pre-size from the experiment shape.
+// heapHint derives one shard's Reserve pre-size from the experiment shape.
 // The pending-event population of a loaded run is bounded by: per flow,
 // the receive-window's worth of in-flight packets (each holds at most
 // one serializer or propagation event at a time, and each delivered
@@ -375,10 +367,35 @@ const receiverID packet.HostID = 1
 // it under-reserved both flow-heavy incast and long-RTO runs (regrowth
 // copies mid-run) while reserving megabytes that sender-heavy,
 // flow-light runs never touched.
-func eventHeapHint(opts Config, tcfg transport.Config) int {
+//
+// Only the hosts living on the shard (hostShard maps host index to
+// shard), the flows with an endpoint there and the stale timers of its
+// receivers count; on one engine that is everything. A flow's events
+// split between its two endpoint shards but are counted fully on both —
+// a bounded over-count that keeps the no-regrowth guarantee without
+// modeling where each in-flight packet is.
+func heapHint(opts Config, tcfg transport.Config, shard int, hostShard func(int) int) int {
+	hosts, receivers := 0, 0
+	for i := 0; i < opts.Receivers+opts.Senders; i++ {
+		if hostShard(i) != shard {
+			continue
+		}
+		hosts++
+		if i < opts.Receivers {
+			receivers++
+		}
+	}
+	flows := 0
+	for f := 0; f < opts.Flows; f++ {
+		rx := f % opts.Receivers
+		tx := opts.Receivers + f%opts.Senders
+		if hostShard(rx) == shard || hostShard(tx) == shard {
+			flows++
+		}
+	}
+
 	winPkts := tcfg.RcvWnd/tcfg.MSS + 1
 	perFlow := 2*winPkts + 16
-	hosts := opts.Receivers + opts.Senders
 
 	rate := opts.LinkRate
 	if rate == 0 {
@@ -386,9 +403,9 @@ func eventHeapHint(opts Config, tcfg transport.Config) int {
 	}
 	staleWindow := min(tcfg.MinRTO, opts.Warmup+opts.Measure)
 	stalePkts := float64(rate) * staleWindow.Seconds() / float64(opts.MTU)
-	stale := opts.Receivers * int(stalePkts)
+	stale := receivers * int(stalePkts)
 
-	return 2048 + 64*hosts + opts.Flows*perFlow + stale
+	return 2048 + 64*hosts + flows*perFlow + stale
 }
 
 // receiverName is the telemetry prefix of receiver i ("receiver" for the
@@ -427,21 +444,49 @@ func rackFor(t fabric.Topology, i, receivers int) int {
 // New builds the testbed: hosts, bidirectional links through the
 // compiled fabric topology, hostCC on every receiver (in ModeOff when
 // disabled, so signals are still measured), and the receiver-side MApps
-// at the requested degree.
-func New(opts Options) *Testbed {
+// at the requested degree. It panics with Validate's error on a config
+// Validate rejects.
+//
+// Shards > 1 partitions the run across a sim.ShardGroup synchronized by
+// conservative trunk-delay lookahead; otherwise it runs on one engine.
+// Either way the construction sequence is the same (hosts, fabric,
+// hostCC, MApp, faults, invariants, instruments) — only the engine each
+// component lands on differs, so a one-engine run is digest-identical to
+// the classic serial testbed. The shard map follows the rack striping:
+// switch i (leaves first, then spines) runs on shard i%N and every host
+// on its rack's shard, so access links never cross shards and only
+// inter-switch trunks become boundaries.
+func New(opts Config) *Testbed {
 	opts = opts.withDefaults()
-	if opts.Shards > 1 {
-		return newSharded(opts)
+	if err := opts.Validate(); err != nil {
+		panic(err)
 	}
-	e := sim.NewEngine(opts.Seed)
-	tb := &Testbed{E: e, Opts: opts, Reg: telemetry.NewRegistry()}
+	tb := &Testbed{Opts: opts, Reg: telemetry.NewRegistry()}
+	n := max(opts.Shards, 1)
+	tb.engines = make([]*sim.Engine, n)
+	if n > 1 {
+		tb.Group = sim.NewShardGroup(opts.Seed, n)
+		for i := range tb.engines {
+			tb.engines[i] = tb.Group.Shard(i)
+		}
+	} else {
+		tb.engines[0] = sim.NewEngine(opts.Seed)
+	}
+	tb.E = tb.engines[0]
 	if opts.Telemetry {
 		tb.Tr = telemetry.NewTracer()
 	}
+	swShard := func(i int) int { return i % n }
+	hostShard := func(i int) int { return swShard(rackFor(opts.Topology, i, opts.Receivers)) }
 
-	// One pool for the whole testbed: sender transports Get the packets
-	// that the receiver's rx path Puts, so the free list must be shared.
-	pool := packet.NewPool(1024)
+	// One packet pool per shard: sender transports Get the packets that
+	// the receiver's rx path Puts, so a shard's hosts share one free list,
+	// and a pool is only ever touched by its own shard (Put adopts packets
+	// allocated elsewhere).
+	pools := make([]*packet.Pool, n)
+	for i := range pools {
+		pools[i] = packet.NewPool(1024)
+	}
 
 	tcfg := transport.DefaultConfig(opts.MTU)
 	if opts.CC != nil {
@@ -456,13 +501,16 @@ func New(opts Options) *Testbed {
 		tcfg.MinRTO = opts.MinRTO
 		tcfg.InitialRTO = opts.MinRTO
 	}
-	// Pre-size the event heap so warm-up never pays a regrowth copy.
-	e.Reserve(eventHeapHint(opts, tcfg))
+	// Pre-size every event heap so warm-up never pays a regrowth copy.
+	for i, e := range tb.engines {
+		e.Reserve(heapHint(opts, tcfg, i, hostShard))
+	}
 
-	mkHost := func(id packet.HostID) *host.Host {
+	mkHost := func(idx int, id packet.HostID) *host.Host {
+		sh := hostShard(idx)
 		hcfg := host.DefaultConfig(id, opts.MTU, opts.DDIO)
 		hcfg.Transport = tcfg
-		hcfg.Pool = pool
+		hcfg.Pool = pools[sh]
 		if opts.LinkRate > 0 {
 			hcfg.NIC.LineRate = opts.LinkRate
 		}
@@ -479,16 +527,16 @@ func New(opts Options) *Testbed {
 		if id == receiverID && opts.mba != nil {
 			hcfg.MBA = *opts.mba
 		}
-		return host.New(e, hcfg)
+		return host.New(tb.engines[sh], hcfg)
 	}
 
 	for i := 0; i < opts.Receivers; i++ {
-		tb.Receivers = append(tb.Receivers, mkHost(receiverID+packet.HostID(i)))
+		tb.Receivers = append(tb.Receivers, mkHost(i, receiverID+packet.HostID(i)))
 	}
 	tb.Receiver = tb.Receivers[0]
 	senderBase := receiverID + packet.HostID(opts.Receivers)
 	for i := 0; i < opts.Senders; i++ {
-		tb.Senders = append(tb.Senders, mkHost(senderBase+packet.HostID(i)))
+		tb.Senders = append(tb.Senders, mkHost(opts.Receivers+i, senderBase+packet.HostID(i)))
 	}
 
 	// Fabric: compile the topology. For the star this reproduces the
@@ -524,9 +572,10 @@ func New(opts Options) *Testbed {
 		swcfg.PFC.ResumeTimeout = opts.PauseWatchdog
 		topo.Switch = swcfg
 	}
-	fb, err := fabric.Build(e, topo, lcfg, ports, pool, tb.Tr)
+	place := fabric.Placement{Engines: tb.engines, Pools: pools, SwitchShard: swShard, Group: tb.Group}
+	fb, err := fabric.Build(place, topo, lcfg, ports, tb.Tr)
 	if err != nil {
-		panic(err) // Config.Validate rejects invalid topologies up front
+		panic(err) // Config.Validate rejects invalid topology/shard pairs up front
 	}
 	tb.Fabric = fb
 	tb.Sw = fb.Switches[0]
@@ -566,7 +615,7 @@ func New(opts Options) *Testbed {
 	}
 	ccfg.Watchdog = opts.Watchdog
 	for i, r := range tb.Receivers {
-		hcc := core.New(e, r.MSR, r.MBA, ccfg)
+		hcc := core.New(tb.engines[hostShard(i)], r.MSR, r.MBA, ccfg)
 		if tb.Tr != nil {
 			r.AttachTracer(tb.Tr, receiverName(i))
 			hcc.SetTracer(tb.Tr, receiverName(i))
@@ -591,40 +640,59 @@ func New(opts Options) *Testbed {
 		}
 	}
 
-	// Fault injection against the primary receiver's hardware seams.
-	// Armed last so the MApp (if any) exists. FaultTrunks retargets link
-	// flaps at the inter-switch trunks.
+	// Fault injection against the primary receiver's hardware seams,
+	// armed last so the MApp (if any) exists. FaultTrunks retargets link
+	// flaps at the inter-switch trunks. Every shard arms the same plan
+	// against the seams it owns (an injector ignores absent seams), so
+	// windows open and close at identical virtual times everywhere with
+	// zero cross-shard traffic, and event-level rolls draw from the
+	// owning shard's RNG.
 	if opts.Faults != nil {
-		flapLinks := tb.Links
+		flapLinks, flapShards := tb.Links, fb.AccessShards
 		if opts.FaultTrunks {
-			flapLinks = tb.Trunks
+			flapLinks, flapShards = tb.Trunks, fb.TrunkShards
 		}
-		seams := faults.Seams{
-			MSR:   tb.Receiver.MSR,
-			MBA:   tb.Receiver.MBA,
-			NIC:   tb.Receiver.NIC,
-			PCIe:  tb.Receiver.Link,
-			Links: flapLinks,
-			MApp:  tb.Receiver.MApp(),
-		}
-		if opts.Lossless {
-			seams.Switches = fb.Switches
-			for _, ti := range opts.StormTrunks {
-				tp := fb.TrunkPorts[ti]
-				seams.Pause = append(seams.Pause, func(on bool) {
-					tp.Sw.SetPortForcedPause(tp.Port, on)
-				})
+		for s, e := range tb.engines {
+			var seams faults.Seams
+			if s == hostShard(0) {
+				seams.MSR = tb.Receiver.MSR
+				seams.MBA = tb.Receiver.MBA
+				seams.NIC = tb.Receiver.NIC
+				seams.PCIe = tb.Receiver.Link
+				seams.MApp = tb.Receiver.MApp()
 			}
+			for i, l := range flapLinks {
+				if flapShards[i] == s {
+					seams.Links = append(seams.Links, l)
+				}
+			}
+			if opts.Lossless {
+				for i, sw := range fb.Switches {
+					if fb.SwitchShards[i] == s {
+						seams.Switches = append(seams.Switches, sw)
+					}
+				}
+				for _, ti := range opts.StormTrunks {
+					tp := fb.TrunkPorts[ti]
+					if fb.SwitchShards[tp.From] == s {
+						seams.Pause = append(seams.Pause, func(on bool) {
+							tp.Sw.SetPortForcedPause(tp.Port, on)
+						})
+					}
+				}
+			}
+			in := faults.MustNewInjector(e, *opts.Faults, seams)
+			in.Arm()
+			tb.Injectors = append(tb.Injectors, in)
 		}
-		tb.Injector = faults.MustNewInjector(e, *opts.Faults, seams)
-		tb.Injector.Arm()
+		tb.Injector = tb.Injectors[0]
 	}
 
 	// Invariant checker: audits packet conservation, PCIe credit
 	// accounting, and MBA level bounds every ~sample interval.
 	if opts.Invariants {
 		nic, link, mba := tb.Receiver.NIC, tb.Receiver.Link, tb.Receiver.MBA
-		tb.Inv = core.NewInvariantChecker(e, ccfg.SampleInterval, core.InvariantProbes{
+		tb.Inv = core.NewInvariantChecker(tb.engines[hostShard(0)], ccfg.SampleInterval, core.InvariantProbes{
 			NICArrivals:   func() int64 { return nic.Arrivals.Total() },
 			NICDrops:      func() int64 { return nic.Drops.Total() },
 			NICFaultDrops: func() int64 { return nic.FaultDrops.Total() },
@@ -669,6 +737,9 @@ func New(opts Options) *Testbed {
 		}
 	}
 
+	// The fluid tier binds to the group when sharded: ticks run at
+	// coordinator barriers with every shard quiesced, so the integrator
+	// may touch any shard's seams and the twin connections safely.
 	if opts.FluidBackground != nil {
 		tb.buildFluid()
 	}
@@ -810,44 +881,40 @@ func (tb *Testbed) Now() sim.Time {
 
 // Processed returns executed events, summed across shards.
 func (tb *Testbed) Processed() uint64 {
-	if tb.Group != nil {
-		return tb.Group.ProcessedEvents()
+	var n uint64
+	for _, e := range tb.engines {
+		n += e.Processed
 	}
-	return tb.E.Processed
+	return n
 }
 
 // PendingEvents returns queued events, summed across shards.
 func (tb *Testbed) PendingEvents() int {
-	if tb.Group != nil {
-		return tb.Group.Pending()
+	n := 0
+	for _, e := range tb.engines {
+		n += e.Pending()
 	}
-	return tb.E.Pending()
+	return n
 }
 
 // MaxPendingEvents returns the event-queue high-water mark (the worst
 // shard when sharded — each shard pre-sizes its own heap).
 func (tb *Testbed) MaxPendingEvents() int {
-	if tb.Group != nil {
-		m := 0
-		for i := 0; i < tb.Group.Shards(); i++ {
-			m = max(m, tb.Group.Shard(i).MaxPending())
-		}
-		return m
+	m := 0
+	for _, e := range tb.engines {
+		m = max(m, e.MaxPending())
 	}
-	return tb.E.MaxPending()
+	return m
 }
 
 // EventHeapCap returns the event heap capacity (the largest shard's when
 // sharded).
 func (tb *Testbed) EventHeapCap() int {
-	if tb.Group != nil {
-		m := 0
-		for i := 0; i < tb.Group.Shards(); i++ {
-			m = max(m, tb.Group.Shard(i).HeapCap())
-		}
-		return m
+	m := 0
+	for _, e := range tb.engines {
+		m = max(m, e.HeapCap())
 	}
-	return tb.E.HeapCap()
+	return m
 }
 
 // Every schedules fn at the given period: a plain Ticker on the engine,

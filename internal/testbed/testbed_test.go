@@ -327,11 +327,11 @@ func TestIncastWithAndWithoutHostCongestion(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Config{}.withDefaults()
 	if o.MTU != 4096 || o.Flows != 4 || o.Senders != 1 || o.Seed == 0 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	tb := New(Options{})
+	tb := New(Config{})
 	if tb.Receiver == nil || len(tb.Senders) != 1 || tb.HCC == nil {
 		t.Fatal("testbed incomplete")
 	}

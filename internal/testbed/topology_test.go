@@ -24,20 +24,20 @@ func TestEventHeapReservation(t *testing.T) {
 		opts Config
 	}{
 		{"star-default", false, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Degree = 3
 			o.HostCC = true
 			return o
 		}()},
 		{"star-flow-heavy", false, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Senders = 2
 			o.Flows = 256
 			o.MinRTO = sim.Millisecond
 			return o
 		}()},
 		{"leafspine-64", true, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Topology = fabric.LeafSpine(0, 0)
 			o.Senders = 64
 			o.Receivers = 4
@@ -50,11 +50,11 @@ func TestEventHeapReservation(t *testing.T) {
 			return o
 		}()},
 		// The sharded variant sizes each shard's heap from the hosts and
-		// flows assigned to that shard (shardHeapHint), so the guards below
+		// flows assigned to that shard (heapHint), so the guards below
 		// apply per shard: no shard may regrow, and no shard may reserve
 		// more than 32x what it peaks at.
 		{"leafspine-64-sharded", true, func() Config {
-			o := DefaultOptions()
+			o := DefaultConfig()
 			o.Topology = fabric.LeafSpine(4, 2)
 			o.Senders = 64
 			o.Receivers = 4
@@ -251,7 +251,7 @@ func TestTopologyGoldenDigests(t *testing.T) {
 // exactly like the zero value — same construction, same digests.
 func TestStarTopologyIsDefault(t *testing.T) {
 	run := func(topo fabric.Topology) Metrics {
-		opts := DefaultOptions()
+		opts := DefaultConfig()
 		opts.Topology = topo
 		opts.Degree = 2
 		opts.HostCC = true
@@ -271,7 +271,7 @@ func TestStarTopologyIsDefault(t *testing.T) {
 // over every trunk (cross-rack placement working) and keep hostCC's
 // marking active at the receivers.
 func TestCrossRackIncast(t *testing.T) {
-	opts := DefaultOptions()
+	opts := DefaultConfig()
 	opts.Topology = fabric.LeafSpine(0, 0)
 	opts.Senders = 16
 	opts.Receivers = 2
