@@ -11,6 +11,8 @@
 #                   detector (-short), its own CI job
 #   make bench      microbenchmarks (engine + datapath + full-system
 #                   throughput) -> BENCH_baseline.json
+#   make loc        print production Go line count (tracked files, no
+#                   tests, no perfbench/ or examples/ module)
 #   make api-compat build + vet the examples module against the public
 #                   API only (fails if an internal type leaks)
 #   make telemetry-overhead
@@ -55,7 +57,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race chaos chaos-race bench bench-smoke bench-parallel bench-fluid parallel-determinism api-compat telemetry-overhead figures vet staticcheck replay topology-smoke fluid-smoke crucible-smoke crucible-corpus eval-smoke
+.PHONY: all build test verify race chaos chaos-race bench bench-smoke bench-parallel bench-fluid parallel-determinism api-compat telemetry-overhead figures vet staticcheck replay topology-smoke fluid-smoke crucible-smoke crucible-corpus eval-smoke loc
 
 all: verify race
 
@@ -124,6 +126,10 @@ parallel-determinism:
 
 race:
 	$(GO) test -race -short ./...
+
+# Production Go line count: the code-size measure the design notes track.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -Ev '^(perfbench|examples)/' | xargs cat | wc -l
 
 # CC evaluation matrix gate, two halves: (1) the full scheme registry
 # {dctcp, reno, cubic, dcqcn, delay, bbr, hpcc} through the default

@@ -18,28 +18,3 @@ func (d *DDIO) Snapshot(e *snapshot.Encoder) {
 	d.hitBytes.Snapshot(e)
 	d.missBytes.Snapshot(e)
 }
-
-// Restore reverses Snapshot, rebuilding the entry map from the FIFO.
-func (d *DDIO) Restore(dec *snapshot.Decoder) error {
-	d.used = dec.Int()
-	d.nextID = EntryID(dec.U64())
-	n := int(dec.U32())
-	d.order = d.order[:0]
-	d.ordHead = 0
-	d.entries = make(map[EntryID]int, n)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		id := EntryID(dec.U64())
-		d.order = append(d.order, id)
-		d.entries[id] = dec.Int()
-	}
-	if err := d.inserted.Restore(dec); err != nil {
-		return err
-	}
-	if err := d.evicted.Restore(dec); err != nil {
-		return err
-	}
-	if err := d.hitBytes.Restore(dec); err != nil {
-		return err
-	}
-	return d.missBytes.Restore(dec)
-}

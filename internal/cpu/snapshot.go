@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the MBA control-plane state.
 func (m *MBA) Snapshot(e *snapshot.Encoder) {
@@ -14,31 +11,12 @@ func (m *MBA) Snapshot(e *snapshot.Encoder) {
 	e.I64(m.LostWrites)
 }
 
-// Restore reverses Snapshot.
-func (m *MBA) Restore(d *snapshot.Decoder) error {
-	m.applied = d.Int()
-	m.target = d.Int()
-	m.writing = d.Bool()
-	m.Writes = d.I64()
-	m.LostWrites = d.I64()
-	return d.Err()
-}
-
 // Snapshot encodes the MApp's core-loop state.
 func (a *MApp) Snapshot(e *snapshot.Encoder) {
 	e.Bool(a.running)
 	e.Int(a.parked)
 	e.Bool(a.stalled)
 	e.F64(a.burst)
-}
-
-// Restore reverses Snapshot.
-func (a *MApp) Restore(d *snapshot.Decoder) error {
-	a.running = d.Bool()
-	a.parked = d.Int()
-	a.stalled = d.Bool()
-	a.burst = d.F64()
-	return d.Err()
 }
 
 // Snapshot encodes the receive-core pool state. Queued work items are
@@ -56,24 +34,4 @@ func (p *RxPool) Snapshot(e *snapshot.Encoder) {
 	e.I64(int64(p.busyTime))
 	p.processed.Snapshot(e)
 	p.qlen.Snapshot(e)
-}
-
-// Restore reverses Snapshot for the scalar state.
-func (p *RxPool) Restore(d *snapshot.Decoder) error {
-	n := int(d.U32())
-	for c := 0; c < n && d.Err() == nil; c++ {
-		busy := d.Bool()
-		if c < len(p.busy) {
-			p.busy[c] = busy
-		}
-		nq := int(d.U32())
-		for j := 0; j < nq && d.Err() == nil; j++ {
-			_ = d.Int()
-		}
-	}
-	p.busyTime = sim.Time(d.I64())
-	if err := p.processed.Restore(d); err != nil {
-		return err
-	}
-	return p.qlen.Restore(d)
 }

@@ -191,8 +191,9 @@ func (s Scenario) testbedConfig() (testbed.Config, error) {
 	if s.hasKind("pause-storm") {
 		opts.Lossless = true
 		opts.Topology = fabric.Topology{Kind: fabric.TopoLeafSpine, Leaves: 2, Spines: 1}
-		// Up leaf1->spine0 and down spine0->leaf1 (the sender rack).
-		opts.StormTrunks = []int{2, 3}
+		// Storm the trunk pair of leaf 1 (the sender rack) to spine 0.
+		up, down := opts.Topology.TrunkPair(1, 0)
+		opts.StormTrunks = []int{up, down}
 	}
 	if err := opts.Validate(); err != nil {
 		return testbed.Config{}, err

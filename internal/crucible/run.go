@@ -111,9 +111,8 @@ type outcome struct {
 	p999       float64
 	invChecks  int64
 
-	midImg     []byte // mid-run state image (nil if the run never got there)
-	midErr     string // first mid-run snapshot-oracle error
-	restoreErr string // post-run restore-accept error
+	midImg []byte // mid-run state image (nil if the run never got there)
+	midErr string // first mid-run snapshot-oracle error
 
 	timeline *snapshot.Timeline
 	digest   uint64
@@ -186,6 +185,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	}()
 
 	tb := testbed.New(opts)
+	defer tb.Close()
 	// Collect violations instead of panicking: a broken conservation law
 	// is a finding, not a crash.
 	tb.Inv.OnViolation = func(string) {}
@@ -199,10 +199,10 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	}
 
 	reg := tb.Registry()
-	recorder := sim.NewTicker(tb.E, digestEvery, func() {
+	tb.Every(digestEvery, func() {
 		o.timeline.Append(snapshot.Frame{
-			At:      int64(tb.E.Now()),
-			Events:  tb.E.Processed,
+			At:      int64(tb.Now()),
+			Events:  tb.Processed(),
 			Digests: reg.Digests(),
 		})
 	})
@@ -217,6 +217,8 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	// rich instant of the run), the state image must decode to exactly
 	// the digests of the live registry, and a checkpoint built from it
 	// must survive an encode → decode → re-encode round trip untouched.
+	// The testbed has no coordinator-level one-shot hook, so this event
+	// sits on engine 0 (the only engine: scenarios never shard).
 	faultStart, faultEnd := faultSpan(plan)
 	mid := faultStart + (faultEnd-faultStart)/2
 	if mid <= opts.Warmup {
@@ -244,8 +246,8 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		}
 		ck := &snapshot.Checkpoint{
 			Meta:        map[string]string{"scenario": "crucible", "seed": strconv.FormatInt(sc.Seed, 10)},
-			VirtualTime: int64(tb.E.Now()),
-			Events:      tb.E.Processed,
+			VirtualTime: int64(tb.Now()),
+			Events:      tb.Processed(),
 			State:       img,
 		}
 		b := ck.Encode()
@@ -261,19 +263,19 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 
 	// Phases: warmup, fault-free baseline, through the fault windows,
 	// drain to the horizon, then recovery probes for the goodput oracle.
-	tb.E.RunUntil(opts.Warmup)
+	tb.RunUntil(opts.Warmup)
 	tb.MarkWindow()
 	if !aborted() && faultStart > opts.Warmup {
-		tb.E.RunUntil(faultStart)
+		tb.RunUntil(faultStart)
 		o.baseline = tb.NetT.Throughput().Gbps()
 	}
 	if !aborted() {
 		tb.NetT.MarkWindow()
-		tb.E.RunUntil(faultEnd)
+		tb.RunUntil(faultEnd)
 	}
 	horizon := opts.Warmup + opts.Measure
-	if !aborted() && tb.E.Now() < horizon {
-		tb.E.RunUntil(horizon)
+	if !aborted() && tb.Now() < horizon {
+		tb.RunUntil(horizon)
 	}
 	if sc.Oracles.GoodputFloorPct > 0 {
 		budget := sc.Oracles.RecoveryRTTBudget
@@ -284,7 +286,7 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		const probeRTTs = 5
 		for rtts := 0; rtts < budget && !aborted(); rtts += probeRTTs {
 			tb.NetT.MarkWindow()
-			tb.E.RunFor(probeRTTs * rtt)
+			tb.RunFor(probeRTTs * rtt)
 			o.final = tb.NetT.Throughput().Gbps()
 			if o.final >= target {
 				o.recovered = true
@@ -309,39 +311,8 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	tb.HCC.Stop()
 	tb.Inv.Stop()
 	sen.Stop()
-	recorder.Stop()
 
 	o.digest = snapshot.Combined(reg.Digests())
-
-	// Restore-accept: every component must take back its own final state
-	// image (full byte consumption, no error). The engine is exempt — it
-	// refuses restores while events are pending, by design; pending
-	// closures have no serializable form and resumption is replay-based.
-	// Runs after the final digest capture, when mutation is harmless.
-	img := reg.EncodeAll()
-	decoded, blobs, err := snapshot.DecodeState(img)
-	if err != nil {
-		o.restoreErr = fmt.Sprintf("decode final image: %v", err)
-		return o
-	}
-	for _, dg := range decoded {
-		if dg.Component == "engine" {
-			continue
-		}
-		dec := snapshot.NewDecoder(blobs[dg.Component])
-		if err := reg.Component(dg.Component).Restore(dec); err != nil {
-			o.restoreErr = fmt.Sprintf("component %q rejects its own snapshot: %v", dg.Component, err)
-			return o
-		}
-		if err := dec.Err(); err != nil {
-			o.restoreErr = fmt.Sprintf("component %q under-decodes its snapshot: %v", dg.Component, err)
-			return o
-		}
-		if n := dec.Remaining(); n != 0 {
-			o.restoreErr = fmt.Sprintf("component %q left %d snapshot bytes unconsumed", dg.Component, n)
-			return o
-		}
-	}
 	return o
 }
 
@@ -389,10 +360,8 @@ func Run(sc Scenario) (Verdict, error) {
 	if o1.panicMsg != o2.panicMsg {
 		fail(OracleDeterminism, fmt.Sprintf("panic diverges between runs: %q vs %q", o1.panicMsg, o2.panicMsg))
 	} else if o1.panicMsg == "" {
-		if o1.digest != o2.digest {
-			fail(OracleDeterminism, fmt.Sprintf("final digest diverges: %016x vs %016x", o1.digest, o2.digest))
-		} else if div, found := snapshot.FirstDivergence(o1.timeline, o2.timeline); found {
-			fail(OracleDeterminism, fmt.Sprintf("digest timeline diverges at frame %d, component %q", div.FrameIndex, div.Component))
+		if err := snapshot.VerifyReplay(o1.timeline, o1.digest, o2.timeline, o2.digest); err != nil {
+			fail(OracleDeterminism, err.Error())
 		} else if !bytes.Equal(o1.midImg, o2.midImg) {
 			fail(OracleDeterminism, "mid-run state images differ between runs")
 		}
@@ -400,12 +369,8 @@ func Run(sc Scenario) (Verdict, error) {
 
 	// Snapshot oracles only judge runs that got far enough to produce a
 	// coherent image; a panicked run's partial state proves nothing.
-	if o1.panicMsg == "" {
-		if o1.midErr != "" {
-			fail(OracleSnapshot, o1.midErr)
-		} else if o1.restoreErr != "" {
-			fail(OracleSnapshot, o1.restoreErr)
-		}
+	if o1.panicMsg == "" && o1.midErr != "" {
+		fail(OracleSnapshot, o1.midErr)
 	}
 
 	if o1.panicMsg == "" && sc.Oracles.GoodputFloorPct > 0 && !o1.recovered {

@@ -354,13 +354,9 @@ func runCellVerified(spec CellSpec, cfg Config) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, fmt.Errorf("evalharness: replay: %w", err)
 	}
-	if div, found := snapshot.FirstDivergence(tl, tl2); found {
-		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s replay diverged: %s",
-			spec.Scheme, spec.Topology, spec.Workload, div)
-	}
-	if res2.Digest != res.Digest {
-		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s replay final digest %#016x != %#016x",
-			spec.Scheme, spec.Topology, spec.Workload, res2.Digest, res.Digest)
+	if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
+		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s: %w",
+			spec.Scheme, spec.Topology, spec.Workload, err)
 	}
 	res.Verified = true
 	return res, nil

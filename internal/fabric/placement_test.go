@@ -160,6 +160,53 @@ func TestBuildRoutesMatchTrunkRoute(t *testing.T) {
 	}
 }
 
+// TestTrunkLayout: Trunks and TrunkPair name what Build creates — the
+// trunk count, and for every leaf–spine link the up and down trunk by
+// their switch names. The pfc-storm scenarios storm pair (1, 0) of the
+// 2×1 fabric, which must be the sender rack's link to the only spine.
+func TestTrunkLayout(t *testing.T) {
+	build := func(topo Topology) *Fabric {
+		var hosts []HostPort
+		for i := 0; i < topo.Racks(); i++ {
+			hosts = append(hosts, HostPort{ID: packet.HostID(i + 1), Rack: i, Deliver: func(*packet.Packet) {}})
+		}
+		fb, err := Build(serial(sim.NewEngine(1)), topo, DefaultLinkConfig(), hosts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb
+	}
+	for _, topo := range []Topology{Star(), Dumbbell(), LeafSpine(2, 1), LeafSpine(2, 2), LeafSpine(4, 2), {Kind: TopoLeafSpine}} {
+		fb := build(topo)
+		if n := topo.Trunks(); n != len(fb.TrunkPorts) || n != len(fb.Trunks) {
+			t.Errorf("%s %d racks: Trunks() = %d, Build made %d", topo, topo.Racks(), n, len(fb.TrunkPorts))
+		}
+		if topo.Kind != TopoLeafSpine {
+			continue
+		}
+		spines := topo.Switches() - topo.Racks()
+		for l := 0; l < topo.Racks(); l++ {
+			for s := 0; s < spines; s++ {
+				leaf, spine := fb.SwitchName(l), fb.SwitchName(topo.Racks()+s)
+				up, down := topo.TrunkPair(l, s)
+				if got := fb.TrunkPorts[up].Name; got != leaf+"->"+spine {
+					t.Errorf("%dx%d TrunkPair(%d, %d) up = %s", topo.Racks(), spines, l, s, got)
+				}
+				if got := fb.TrunkPorts[down].Name; got != spine+"->"+leaf {
+					t.Errorf("%dx%d TrunkPair(%d, %d) down = %s", topo.Racks(), spines, l, s, got)
+				}
+			}
+		}
+	}
+
+	topo := LeafSpine(2, 1)
+	fb := build(topo)
+	up, down := topo.TrunkPair(1, 0)
+	if got := []string{fb.TrunkPorts[up].Name, fb.TrunkPorts[down].Name}; !slices.Equal(got, []string{"leaf1->spine0", "spine0->leaf1"}) {
+		t.Errorf("pfc-storm pair on 2x1 = %v, want [leaf1->spine0 spine0->leaf1]", got)
+	}
+}
+
 // TestTrunkRouteNoAlloc: the fluid tier calls TrunkRoute once per flow
 // at build time, so it must not allocate.
 func TestTrunkRouteNoAlloc(t *testing.T) {

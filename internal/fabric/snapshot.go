@@ -3,9 +3,7 @@ package fabric
 import (
 	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
 )
 
 // Snapshot encodes the link serializer and fault state.
@@ -15,19 +13,6 @@ func (l *Link) Snapshot(e *snapshot.Encoder) {
 	l.Bytes.Snapshot(e)
 	l.Corrupted.Snapshot(e)
 	l.FlapDrops.Snapshot(e)
-}
-
-// Restore reverses Snapshot.
-func (l *Link) Restore(d *snapshot.Decoder) error {
-	l.busyUntil = sim.Time(d.I64())
-	l.down = d.Bool()
-	if err := l.Bytes.Restore(d); err != nil {
-		return err
-	}
-	if err := l.Corrupted.Restore(d); err != nil {
-		return err
-	}
-	return l.FlapDrops.Restore(d)
 }
 
 // Snapshot encodes the switch's port queues in sorted key order (host
@@ -73,73 +58,4 @@ func (s *Switch) Snapshot(e *snapshot.Encoder) {
 		s.PauseAsserts.Snapshot(e)
 		s.WatchdogReleases.Snapshot(e)
 	}
-}
-
-// Restore reverses Snapshot for the scalar port state; queued packets are
-// replay-reconstructed.
-func (s *Switch) Restore(d *snapshot.Decoder) error {
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		key := d.U64()
-		qBytes := d.Int()
-		busy := d.Bool()
-		nq := int(d.U32())
-		for j := 0; j < nq && d.Err() == nil; j++ {
-			_ = d.Int()
-		}
-		for _, p := range s.ports {
-			if p.key == key {
-				p.qBytes = qBytes
-				p.busy = busy
-				break
-			}
-		}
-	}
-	if err := s.Drops.Restore(d); err != nil {
-		return err
-	}
-	if err := s.Marks.Restore(d); err != nil {
-		return err
-	}
-	if s.cfg.PFC.Enabled {
-		for i := 0; i < len(s.ports) && d.Err() == nil; i++ {
-			key := d.U64()
-			paused := d.Bool()
-			forced := d.Bool()
-			pausedAt := sim.Time(d.I64())
-			pausedTotal := sim.Time(d.I64())
-			for _, p := range s.ports {
-				if p.key == key {
-					p.paused, p.forced = paused, forced
-					p.pausedAt, p.pausedTotal = pausedAt, pausedTotal
-					break
-				}
-			}
-		}
-		nIg := int(d.U32())
-		for i := 0; i < nIg && d.Err() == nil; i++ {
-			occ := d.Int()
-			xoff := d.Bool()
-			if i < len(s.ingresses) {
-				ig := s.ingresses[i]
-				ig.occ, ig.xoff = occ, xoff
-				if err := ig.Xoffs.Restore(d); err != nil {
-					return err
-				}
-			} else {
-				var scratch stats.Counter
-				if err := scratch.Restore(d); err != nil {
-					return err
-				}
-			}
-		}
-		for _, c := range []*stats.Counter{
-			&s.HeadroomDrops, &s.PauseFrames, &s.PauseLost, &s.PauseAsserts, &s.WatchdogReleases,
-		} {
-			if err := c.Restore(d); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Err()
 }

@@ -108,6 +108,27 @@ func (t Topology) Switches() int {
 	return 1
 }
 
+// Trunks returns how many directed trunks (Fabric.Trunks and TrunkPorts
+// entries) Build will create: an up and a down trunk per leaf–spine pair,
+// one per direction on the dumbbell, none on the star.
+func (t Topology) Trunks() int {
+	switch t.Kind {
+	case TopoLeafSpine:
+		return 2 * t.Racks() * t.spines()
+	case TopoDumbbell:
+		return 2
+	}
+	return 0
+}
+
+// TrunkPair returns the trunk indices of one leaf–spine link: up from
+// leaf to spine, and down from spine to leaf. Build creates the pairs
+// leaf-major, so leaf l's trunk to spine s is pair l*spines+s.
+func (t Topology) TrunkPair(leaf, spine int) (up, down int) {
+	up = 2 * (leaf*t.spines() + spine)
+	return up, up + 1
+}
+
 func (t Topology) spines() int {
 	if t.Spines == 0 {
 		return 2
@@ -296,16 +317,14 @@ func (t Topology) TrunkRoute(src, dstRack, dst int) (hops [2]int, n int) {
 	switch t.Kind {
 	case TopoLeafSpine:
 		sp := dst % t.spines()
-		return [2]int{t.trunkIndex(src, sp), t.trunkIndex(dstRack, sp) + 1}, 2
+		up, _ := t.TrunkPair(src, sp)
+		_, down := t.TrunkPair(dstRack, sp)
+		return [2]int{up, down}, 2
 	case TopoDumbbell:
 		return [2]int{src}, 1
 	}
 	return hops, 0
 }
-
-// trunkIndex is the index of leaf's trunk up to spine; the spine's trunk
-// back down to the leaf follows at +1.
-func (t Topology) trunkIndex(leaf, spine int) int { return 2 * (leaf*t.spines() + spine) }
 
 // Build compiles the topology onto the placement's engines: switches
 // are created leaves-first, hosts attach in slice order (up link, then
@@ -508,7 +527,8 @@ func Build(pl Placement, topo Topology, access LinkConfig, hosts []HostPort, tr 
 	for _, h := range hosts {
 		if topo.Kind == TopoLeafSpine {
 			for s := 0; s < topo.spines(); s++ {
-				tp := f.TrunkPorts[topo.trunkIndex(h.Rack, s)+1]
+				_, down := topo.TrunkPair(h.Rack, s)
+				tp := f.TrunkPorts[down]
 				tp.Sw.SetRoute(h.ID, tp.Port)
 			}
 		}

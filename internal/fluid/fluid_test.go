@@ -117,56 +117,6 @@ func TestFluidDeterminism(t *testing.T) {
 	}
 }
 
-// TestFluidSnapshotRoundTrip: state survives encode/restore into an
-// identically built network, and mismatched shapes are rejected.
-func TestFluidSnapshotRoundTrip(t *testing.T) {
-	build := func(flows int) *Network {
-		net := New(testConfig())
-		r := net.AddResource("r", sim.Gbps(10), 1<<20, 80*1024)
-		for i := 0; i < flows; i++ {
-			net.AddFlow(r)
-		}
-		return net
-	}
-	src := build(8)
-	src.SetFault(0, true)
-	run(src, 5_000)
-
-	var enc snapshot.Encoder
-	src.Snapshot(&enc)
-
-	dst := build(8)
-	if err := dst.Restore(snapshot.NewDecoder(enc.Bytes())); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	var again snapshot.Encoder
-	dst.Snapshot(&again)
-	if !bytes.Equal(enc.Bytes(), again.Bytes()) {
-		t.Fatal("restored network re-encodes differently")
-	}
-	if dst.Ticks() != src.Ticks() || dst.DeliveredBytes() != src.DeliveredBytes() {
-		t.Fatal("counters lost in the round trip")
-	}
-	// Restored state must continue identically.
-	run(src, 1_000)
-	run(dst, 1_000)
-	var e1, e2 snapshot.Encoder
-	src.Snapshot(&e1)
-	dst.Snapshot(&e2)
-	if !bytes.Equal(e1.Bytes(), e2.Bytes()) {
-		t.Fatal("restored network diverges when ticked onward")
-	}
-
-	if err := build(4).Restore(snapshot.NewDecoder(enc.Bytes())); err == nil {
-		t.Fatal("Restore accepted a snapshot with a different flow count")
-	}
-	bad := append([]byte(nil), enc.Bytes()...)
-	bad[0] ^= 0xff // corrupt the version word
-	if err := build(8).Restore(snapshot.NewDecoder(bad)); err == nil {
-		t.Fatal("Restore accepted a wrong version")
-	}
-}
-
 // fakeSeam scripts the packet tier's side of the conservation seam.
 type fakeSeam struct {
 	offer    int64 // packet bytes reported per take

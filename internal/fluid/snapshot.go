@@ -1,21 +1,16 @@
 package fluid
 
-import (
-	"fmt"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // fluidSnapVersion versions the fluid tier's encoding; bump on layout
-// changes so old images are rejected instead of misdecoded.
+// changes so images of different layouts never digest alike.
 const fluidSnapVersion = 1
 
 // Snapshot encodes the network's replayable state: tick and transition
 // counters, the integrated goodput, per-resource queue/fault state and
 // per-flow rate machinery. Demand/served/mark scratch recomputed every
 // tick is not state and is skipped. Shapes (resource parameters, flow
-// paths) come from construction, not the image — Restore verifies
-// counts and rejects mismatched shapes.
+// paths) come from construction and are encoded only as counts.
 func (n *Network) Snapshot(enc *snapshot.Encoder) {
 	enc.U32(fluidSnapVersion)
 	enc.U64(n.ticks)
@@ -40,44 +35,4 @@ func (n *Network) Snapshot(enc *snapshot.Encoder) {
 		enc.F64(f.rate)
 		enc.F64(f.alpha)
 	}
-}
-
-// Restore reverses Snapshot into an identically-built network.
-func (n *Network) Restore(dec *snapshot.Decoder) error {
-	if v := dec.U32(); v != fluidSnapVersion {
-		return fmt.Errorf("fluid: snapshot version %d, want %d", v, fluidSnapVersion)
-	}
-	ticks := dec.U64()
-	promotions := dec.U64()
-	demotions := dec.U64()
-	delivered := dec.F64()
-	if nr := dec.Int(); nr != len(n.res) {
-		return fmt.Errorf("fluid: snapshot has %d resources, network has %d", nr, len(n.res))
-	}
-	for i := range n.res {
-		n.res[i].q = dec.F64()
-		n.res[i].faulted = dec.Bool()
-	}
-	if nf := dec.Int(); nf != len(n.flows) {
-		return fmt.Errorf("fluid: snapshot has %d flows, network has %d", nf, len(n.flows))
-	}
-	for i := range n.flows {
-		f := &n.flows[i]
-		f.state = uint8(dec.U32())
-		f.winLeft = uint16(dec.U32())
-		f.markedTicks = uint16(dec.U32())
-		f.lossTicks = uint16(dec.U32())
-		f.congTicks = uint16(dec.U32())
-		f.calmTicks = uint16(dec.U32())
-		f.rate = dec.F64()
-		f.alpha = dec.F64()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	n.ticks = ticks
-	n.promotions = promotions
-	n.demotions = demotions
-	n.delivered = delivered
-	return nil
 }

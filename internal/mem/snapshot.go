@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the analytic pipe state and per-class accounting.
 func (c *Controller) Snapshot(e *snapshot.Encoder) {
@@ -18,21 +15,4 @@ func (c *Controller) Snapshot(e *snapshot.Encoder) {
 		e.F64(c.recent[i].rate)
 	}
 	c.backlog.Snapshot(e)
-}
-
-// Restore reverses Snapshot.
-func (c *Controller) Restore(d *snapshot.Decoder) error {
-	c.lastDep = sim.Time(d.I64())
-	c.inFlight = d.Int()
-	c.Submitted = d.I64()
-	for i := range c.meters {
-		if err := c.meters[i].Restore(d); err != nil {
-			return err
-		}
-	}
-	for i := range c.recent {
-		c.recent[i].last = sim.Time(d.I64())
-		c.recent[i].rate = d.F64()
-	}
-	return c.backlog.Restore(d)
 }

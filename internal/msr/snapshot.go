@@ -22,16 +22,3 @@ func (f *File) Snapshot(e *snapshot.Encoder) {
 	e.I64(f.FailedReads)
 	e.I64(f.StaleReads)
 }
-
-// Restore reverses Snapshot.
-func (f *File) Restore(d *snapshot.Decoder) error {
-	n := int(d.U32())
-	f.lastRead = make(map[Address]uint64, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		a := Address(d.U32())
-		f.lastRead[a] = d.U64()
-	}
-	f.FailedReads = d.I64()
-	f.StaleReads = d.I64()
-	return d.Err()
-}

@@ -1,15 +1,11 @@
 package nic
 
-import (
-	"repro/internal/sim"
-	"repro/internal/snapshot"
-	"repro/internal/stats"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the NIC's queue and DMA-engine state. Queued packets are
 // encoded as (wire length, arrival time) pairs: enough for digests to
-// distinguish queue composition. Restore recovers the scalar state; the
-// packet objects themselves are replay-reconstructed.
+// distinguish queue composition; the packet objects themselves are
+// replay-reconstructed.
 func (n *NIC) Snapshot(e *snapshot.Encoder) {
 	e.U32(uint32(n.rxQ.Len()))
 	for i := 0; i < n.rxQ.Len(); i++ {
@@ -48,49 +44,3 @@ func (n *NIC) Snapshot(e *snapshot.Encoder) {
 		n.HeadroomDrops.Snapshot(e)
 	}
 }
-
-// Restore reverses Snapshot for scalars and counters; queue contents are
-// digest-only (packet pointers have no serializable identity).
-func (n *NIC) Restore(d *snapshot.Decoder) error {
-	nrx := int(d.U32())
-	for i := 0; i < nrx && d.Err() == nil; i++ {
-		_ = d.Int()
-		_ = d.I64()
-	}
-	n.rxBytes = d.Int()
-	n.descFree = d.Int()
-	ncur := int(d.U32())
-	for i := 0; i < ncur && d.Err() == nil; i++ {
-		_ = d.Int()
-	}
-	n.waiting = d.Bool()
-	_ = d.U32() // tx queue length: digest-only
-	n.txBusy = d.Bool()
-	n.txBytes = d.Int()
-	for _, c := range []*stats.Counter{&n.Arrivals, &n.Drops, &n.FaultDrops, &n.DMAStarted, &n.TxSent} {
-		if err := c.Restore(d); err != nil {
-			return err
-		}
-	}
-	if err := n.rxOcc.Restore(d); err != nil {
-		return err
-	}
-	if err := n.QueueDelay.Restore(d); err != nil {
-		return err
-	}
-	if n.cfg.PFC.Enabled {
-		n.rxXoff = d.Bool()
-		n.txPaused = d.Bool()
-		n.txPausedAt = sim.Time(d.I64())
-		n.txPausedTotal = sim.Time(d.I64())
-		_ = d.U32() // CNP rate-limiter population: digest-only
-		for _, c := range []*stats.Counter{&n.PauseAsserts, &n.WatchdogReleases, &n.CNPsSent, &n.HeadroomDrops} {
-			if err := c.Restore(d); err != nil {
-				return err
-			}
-		}
-	}
-	return d.Err()
-}
-
-var _ snapshot.Snapshotter = (*NIC)(nil)

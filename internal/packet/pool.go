@@ -123,24 +123,3 @@ func (p *Pool) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(p.News)
 	enc.Int(len(p.free))
 }
-
-// Restore reverses Snapshot, rebuilding the free list at the recorded
-// depth with fresh recycled packets.
-func (p *Pool) Restore(dec *snapshot.Decoder) error {
-	gets := dec.U64()
-	puts := dec.U64()
-	news := dec.U64()
-	depth := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if depth < 0 {
-		return fmt.Errorf("packet: snapshot free-list depth %d is negative", depth)
-	}
-	p.Gets, p.Puts, p.News = gets, puts, news
-	p.free = p.free[:0]
-	for i := 0; i < depth; i++ {
-		p.free = append(p.free, &Packet{poolState: poolStateRecycled})
-	}
-	return nil
-}

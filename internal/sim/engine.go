@@ -150,10 +150,9 @@ type Engine struct {
 
 // countingSource wraps the standard seeded source and counts draws, making
 // RNG state snapshotable: the sequence is unchanged (every call delegates),
-// and a snapshot records only (seed, draws) — Restore fast-forwards a fresh
-// source by the same number of draws. Int63 and Uint64 both advance the
-// underlying generator by exactly one step, so the fast-forward does not
-// need to know which mix of calls consumed the draws.
+// and a snapshot records only (seed, draws). Int63 and Uint64 both advance
+// the underlying generator by exactly one step, so the draw count names
+// the generator state whatever mix of calls consumed it.
 type countingSource struct {
 	src   rand.Source64
 	draws uint64

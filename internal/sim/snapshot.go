@@ -1,17 +1,12 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // Snapshot encodes the engine's replayable state: clock, sequence counter,
-// processed-event count, stop flag, and the RNG replay cursor (seed + number
-// of draws). The event queue itself holds closures and is not serializable;
-// its length is recorded so Restore can refuse snapshots that captured
-// in-flight events (live resumption is replay-based — see package snapshot).
+// processed-event count, pending-event count, stop flag, and the RNG replay
+// cursor (seed + number of draws). The event queue itself holds closures
+// and is not encoded beyond its length; resumption is replay-based (see
+// package snapshot).
 func (e *Engine) Snapshot(enc *snapshot.Encoder) {
 	enc.I64(int64(e.now))
 	enc.U64(e.seq)
@@ -22,62 +17,12 @@ func (e *Engine) Snapshot(enc *snapshot.Encoder) {
 	enc.U64(e.src.draws)
 }
 
-// Restore reverses Snapshot. The RNG is reconstructed by re-seeding and
-// fast-forwarding the recorded number of draws, which reproduces the exact
-// generator state regardless of which mix of Int63/Uint64/Float64 calls
-// consumed them. Restore fails if either the snapshot or the receiving
-// engine has pending events: queued callbacks cannot be round-tripped.
-func (e *Engine) Restore(dec *snapshot.Decoder) error {
-	now := Time(dec.I64())
-	seq := dec.U64()
-	processed := dec.U64()
-	pending := dec.Int()
-	stopped := dec.Bool()
-	seed := dec.I64()
-	draws := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if pending != 0 {
-		return fmt.Errorf("sim: snapshot captured %d pending events; the event queue is not restorable (resume by replay instead)", pending)
-	}
-	if e.q.len() != 0 {
-		return fmt.Errorf("sim: cannot restore into an engine with %d pending events", e.q.len())
-	}
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	for i := uint64(0); i < draws; i++ {
-		src.src.Uint64()
-	}
-	src.draws = draws
-	e.now = now
-	e.seq = seq
-	e.Processed = processed
-	e.stopped = stopped
-	e.seed = seed
-	e.src = src
-	e.rng = rand.New(src)
-	return nil
-}
-
-// SnapshotState encodes the timer's armed/deadline state. The pending
-// engine event backing an armed timer is not serialized; see RestoreState.
+// SnapshotState encodes the timer's armed flag, deadline and generation,
+// so an armed timer, a disarmed one and a moved deadline all digest
+// differently. The pending engine event backing an armed timer is not
+// encoded; a replay re-creates it.
 func (t *Timer) SnapshotState(enc *snapshot.Encoder) {
 	enc.Bool(t.set)
 	enc.I64(int64(t.at))
 	enc.U64(t.gen)
-}
-
-// RestoreState reverses SnapshotState for inspection and round-trip
-// verification. It bumps the generation so any in-flight firing from before
-// the restore is invalidated, and it does NOT schedule a new engine event:
-// a restored timer reports Pending/Deadline faithfully but will not fire.
-// Live resumption re-creates timers by replaying the run.
-func (t *Timer) RestoreState(dec *snapshot.Decoder) {
-	t.set = dec.Bool()
-	t.at = Time(dec.I64())
-	gen := dec.U64()
-	if gen > t.gen {
-		t.gen = gen
-	}
-	t.gen++ // invalidate any event scheduled before the restore
 }

@@ -31,8 +31,6 @@ func (c blobComponent) Snapshot(e *Encoder) {
 	e.Raw(nil)
 }
 
-func (blobComponent) Restore(*Decoder) error { return nil }
-
 // TestDigestsMatchEncodedBlobs: every streamed digest equals FNV-1a
 // (hash/fnv, independent of the streaming code) over the component's
 // blob in an EncodeAll image, for encodings from a few bytes to

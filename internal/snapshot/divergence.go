@@ -83,6 +83,26 @@ func FirstDivergence(a, b *Timeline) (Divergence, bool) {
 	return Divergence{}, false
 }
 
+// VerifyReplay checks that a replay reproduced its recording: a and b are
+// the digest timelines of two executions of one configuration, aFinal
+// and bFinal the combined digests of their final states. It returns nil
+// only when every frame matches, the frame counts are equal and the
+// final digests are equal; otherwise the error names the first
+// difference. Unlike FirstDivergence it does not accept a timeline that
+// is a strict prefix of the other.
+func VerifyReplay(a *Timeline, aFinal uint64, b *Timeline, bFinal uint64) error {
+	if div, found := FirstDivergence(a, b); found {
+		return fmt.Errorf("replay diverged: %s", div)
+	}
+	if a.Len() != b.Len() {
+		return fmt.Errorf("replay recorded %d digest frames, the first run %d", b.Len(), a.Len())
+	}
+	if aFinal != bFinal {
+		return fmt.Errorf("replay final digest %#016x != %#016x", bFinal, aFinal)
+	}
+	return nil
+}
+
 func (t *Timeline) encode(e *Encoder) {
 	e.U32(uint32(len(t.Frames)))
 	for _, f := range t.Frames {

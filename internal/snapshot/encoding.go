@@ -10,11 +10,11 @@
 //   - Leaf package: only the standard library, so every model package
 //     (sim, stats, nic, pcie, ...) can implement Snapshotter without an
 //     import cycle.
-//   - Restore is for offline inspection, round-trip verification and
-//     divergence tooling. Live resumption is replay-based (the event queue
-//     holds closures, which have no serializable form): a checkpoint
-//     records enough metadata to re-execute the run deterministically and
-//     verify per-frame digests along the way.
+//   - One-way: an image is digested, compared and stored in checkpoints,
+//     never restored into a component. Resumption is replay-based (the
+//     event queue holds closures, which have no serializable form): a
+//     checkpoint records enough metadata to re-execute the run
+//     deterministically and verify per-frame digests along the way.
 package snapshot
 
 import (
@@ -131,10 +131,10 @@ func (e *Encoder) Raw(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// Decoder reads an Encoder image back. Errors are sticky: after the first
-// short read every accessor returns the zero value, and Err reports the
-// failure, so component Restore methods can decode unconditionally and
-// check once at the end.
+// Decoder reads the container formats back (state images, checkpoints).
+// Errors are sticky: after the first short read every accessor returns the
+// zero value, and Err reports the failure, so a caller can decode
+// unconditionally and check once at the end.
 type Decoder struct {
 	buf []byte
 	off int
@@ -183,18 +183,6 @@ func (d *Decoder) U64() uint64 {
 
 // I64 reads an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int encoded as int64.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bool reads a bool.
-func (d *Decoder) Bool() bool {
-	b := d.take(1)
-	return b != nil && b[0] != 0
-}
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string {

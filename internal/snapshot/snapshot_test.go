@@ -1,7 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +21,18 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.Str("hello")
 	e.Raw([]byte{1, 2, 3})
 
+	// Int, F64 and Bool have no decoder (nothing reads a component image
+	// back); pin their layout by the bytes they write: Int as an int64,
+	// F64 as its IEEE-754 bits, both little-endian, Bool as one byte.
+	var want []byte
+	want = binary.LittleEndian.AppendUint64(want, 12345)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(3.14159))
+	want = append(want, 1, 0)
+	const at = 4 + 8 + 8
+	if got := e.Bytes()[at : at+len(want)]; !bytes.Equal(got, want) {
+		t.Errorf("Int/F64/Bool bytes = %x, want %x", got, want)
+	}
+
 	d := NewDecoder(e.Bytes())
 	if got := d.U32(); got != 7 {
 		t.Errorf("U32 = %d", got)
@@ -27,15 +43,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if got := d.I64(); got != -42 {
 		t.Errorf("I64 = %d", got)
 	}
-	if got := d.Int(); got != 12345 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := d.F64(); got != 3.14159 {
-		t.Errorf("F64 = %v", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Errorf("Bool mismatch")
-	}
+	d.take(len(want))
 	if got := d.Str(); got != "hello" {
 		t.Errorf("Str = %q", got)
 	}
@@ -58,7 +66,7 @@ func TestDecoderStickyError(t *testing.T) {
 		t.Fatal("expected truncation error")
 	}
 	// Every subsequent accessor must return zero values, not panic.
-	if d.U32() != 0 || d.I64() != 0 || d.Str() != "" || d.Bool() {
+	if d.U32() != 0 || d.I64() != 0 || d.Str() != "" || d.Raw() != nil {
 		t.Error("accessors after error must return zero values")
 	}
 }
@@ -70,11 +78,6 @@ type fakeComp struct {
 }
 
 func (f *fakeComp) Snapshot(e *Encoder) { e.I64(f.a); e.F64(f.b) }
-func (f *fakeComp) Restore(d *Decoder) error {
-	f.a = d.I64()
-	f.b = d.F64()
-	return d.Err()
-}
 
 func TestRegistryRoundTripAndDigests(t *testing.T) {
 	r := NewRegistry()
@@ -86,24 +89,29 @@ func TestRegistryRoundTripAndDigests(t *testing.T) {
 	img := r.EncodeAll()
 	d1 := r.Digests()
 
-	// Mutate, then restore from the image: state and digests must revert.
-	c1.a, c2.b = 99, 99
-	if d2 := r.Digests(); Combined(d2) == Combined(d1) {
-		t.Fatal("digest did not change after mutation")
+	// The image splits back into the registered components, in order,
+	// each hashing to its live digest.
+	order, _, err := DecodeState(img)
+	if err != nil {
+		t.Fatalf("DecodeState: %v", err)
 	}
-	if err := r.RestoreAll(img); err != nil {
-		t.Fatalf("RestoreAll: %v", err)
+	if len(order) != len(d1) {
+		t.Fatalf("image has %d components, registry %d", len(order), len(d1))
 	}
-	if c1.a != 1 || c2.b != 0 {
-		t.Errorf("restore did not revert state: %+v %+v", c1, c2)
-	}
-	if d3 := r.Digests(); Combined(d3) != Combined(d1) {
-		t.Error("digest after restore differs from original")
+	for i := range order {
+		if order[i] != d1[i] {
+			t.Errorf("component %d: image %+v, live %+v", i, order[i], d1[i])
+		}
 	}
 
 	// The image must re-encode identically (deterministic encoding).
 	if string(r.EncodeAll()) != string(img) {
 		t.Error("re-encoded image differs")
+	}
+
+	c1.a = 99
+	if d2 := r.Digests(); Combined(d2) == Combined(d1) {
+		t.Fatal("digest did not change after mutation")
 	}
 }
 
@@ -127,6 +135,43 @@ func TestFirstDivergence(t *testing.T) {
 	}
 	if _, ok := FirstDivergence(a, a); ok {
 		t.Error("identical timelines must not diverge")
+	}
+}
+
+// TestVerifyReplay: a replay is verified only when every frame, the
+// frame count and the final digest all match — a strict prefix, which
+// FirstDivergence forgives, is a failure here.
+func TestVerifyReplay(t *testing.T) {
+	mk := func(hashes ...uint64) Frame {
+		f := Frame{At: 1000, Events: 5}
+		for i, h := range hashes {
+			f.Digests = append(f.Digests, Digest{Component: []string{"engine", "pcie"}[i], Hash: h})
+		}
+		return f
+	}
+	rec := &Timeline{Frames: []Frame{mk(1, 2), mk(3, 4)}}
+	for _, c := range []struct {
+		name    string
+		replay  *Timeline
+		final   uint64
+		wantErr string
+	}{
+		{"identical", &Timeline{Frames: []Frame{mk(1, 2), mk(3, 4)}}, 7, ""},
+		{"strict prefix", &Timeline{Frames: []Frame{mk(1, 2)}}, 7, "1 digest frames, the first run 2"},
+		{"divergent component", &Timeline{Frames: []Frame{mk(1, 2), mk(3, 9)}}, 7, `component "pcie" diverged`},
+		{"final only", &Timeline{Frames: []Frame{mk(1, 2), mk(3, 4)}}, 8, "final digest"},
+	} {
+		err := VerifyReplay(rec, 7, c.replay, c.final)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+		}
+		// The check is symmetric in which run is the recording.
+		if rev := VerifyReplay(c.replay, c.final, rec, 7); (rev == nil) != (err == nil) {
+			t.Errorf("%s: reversed arguments give %v, forward %v", c.name, rev, err)
+		}
 	}
 }
 

@@ -80,8 +80,9 @@ type ChaosConfig struct {
 	// settable to put any other scenario on the lossless fabric).
 	Lossless bool
 	// VerifyReplay re-executes the completed run and confirms the digest
-	// timeline reproduces frame for frame (the scale-out testbed's replay
-	// verification applied to chaos). Implies digest recording.
+	// timeline and final digest reproduce (snapshot.VerifyReplay, as for
+	// scale-out runs); a divergent replay is an error. Implies digest
+	// recording.
 	VerifyReplay bool
 }
 
@@ -190,8 +191,9 @@ type ChaosResult struct {
 	StallSnapshot string
 
 	// ReplayVerified reports that the VerifyReplay re-execution matched
-	// the recording (always false when VerifyReplay was off);
-	// ReplayFrames is how many digest frames were compared.
+	// the recording (always false when VerifyReplay was off; a mismatch
+	// is RunChaos's error); ReplayFrames is how many digest frames were
+	// compared.
 	ReplayVerified bool
 	ReplayFrames   int
 }
@@ -215,10 +217,11 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("testbed: chaos replay: %w", err)
 	}
-	if _, diverged := snapshot.FirstDivergence(tl, tl2); !diverged && res.Digest == res2.Digest && tl.Len() > 0 {
-		res.ReplayVerified = true
-		res.ReplayFrames = tl.Len()
+	if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
+		return res, fmt.Errorf("testbed: chaos %s: %w", res.Scenario, err)
 	}
+	res.ReplayVerified = true
+	res.ReplayFrames = tl.Len()
 	return res, nil
 }
 
@@ -288,9 +291,9 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 			return ChaosResult{}, nil, fmt.Errorf("testbed: pfc-storm requires the leafspine topology, not %q", topoKind)
 		}
 		opts.Topology = fabric.Topology{Kind: fabric.TopoLeafSpine, Leaves: 2, Spines: 1}
-		// Trunk pair of leaf 1 (the sender rack): up leaf1->spine0 and
-		// down spine0->leaf1, indices 2*(1*spines+0) and +1.
-		opts.StormTrunks = []int{2, 3}
+		// Storm the trunk pair of leaf 1 (the sender rack) to spine 0.
+		up, down := opts.Topology.TrunkPair(1, 0)
+		opts.StormTrunks = []int{up, down}
 	case "pause-loss":
 		// Lost XONs wedge ports; the PFC watchdog is the recovery
 		// mechanism under test.

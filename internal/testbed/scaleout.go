@@ -180,12 +180,8 @@ func RunScaleOut(cfg ScaleOutConfig) (ScaleOutResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("testbed: scale-out replay: %w", err)
 		}
-		if div, found := snapshot.FirstDivergence(tl, tl2); found {
-			return res, fmt.Errorf("testbed: scale-out replay diverged: %s", div)
-		}
-		if res2.Digest != res.Digest {
-			return res, fmt.Errorf("testbed: scale-out replay final digest %#016x != %#016x",
-				res2.Digest, res.Digest)
+		if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
+			return res, fmt.Errorf("testbed: scale-out %w", err)
 		}
 		res.Verified = true
 	}

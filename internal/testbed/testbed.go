@@ -152,18 +152,6 @@ type Config struct {
 	mba *cpu.MBAConfig
 }
 
-// trunkCount returns how many directed trunks (Fabric.TrunkPorts entries)
-// Build will create for the topology.
-func trunkCount(t fabric.Topology) int {
-	switch t.Kind {
-	case fabric.TopoLeafSpine:
-		return 2 * t.Racks() * (t.Switches() - t.Racks())
-	case fabric.TopoDumbbell:
-		return 2
-	}
-	return 0
-}
-
 // Validate reports the first invalid parameter. Zero values are not
 // errors — withDefaults fills them — so this catches only parameters no
 // default can repair.
@@ -202,7 +190,7 @@ func (o Config) Validate() error {
 		if !o.Lossless {
 			return fmt.Errorf("testbed: StormTrunks requires Lossless")
 		}
-		n := trunkCount(o.Topology)
+		n := o.Topology.Trunks()
 		if n == 0 {
 			return fmt.Errorf("testbed: StormTrunks requires a multi-switch Topology")
 		}

@@ -4,16 +4,13 @@ import (
 	"sort"
 
 	"repro/internal/packet"
-	"repro/internal/ring"
-	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
 )
 
 // Snapshot encodes the endpoint and every connection, walking the
-// connection map in sorted flow order for determinism. Connections created
-// after the snapshot (or missing at restore) make the images incomparable —
-// the registry's per-component restore surfaces that as a decode error.
+// connection map in sorted flow order for determinism. The flow list is
+// part of the image, so two endpoints with different connection sets never
+// encode alike.
 func (ep *Endpoint) Snapshot(e *snapshot.Encoder) {
 	e.U32(uint32(ep.nextPort))
 	e.I64(ep.StrayPackets)
@@ -26,31 +23,6 @@ func (ep *Endpoint) Snapshot(e *snapshot.Encoder) {
 		e.U32(uint32(f.DstPort))
 		ep.cons[f].snapshot(e)
 	}
-}
-
-// Restore reverses Snapshot for connections present under the same flow
-// identifiers; connections only in the image are skipped (their state is
-// replay-reconstructed).
-func (ep *Endpoint) Restore(d *snapshot.Decoder) error {
-	ep.nextPort = uint16(d.U32())
-	ep.StrayPackets = d.I64()
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var f packet.FlowID
-		f.Src = packet.HostID(d.U64())
-		f.Dst = packet.HostID(d.U64())
-		f.SrcPort = uint16(d.U32())
-		f.DstPort = uint16(d.U32())
-		c := ep.cons[f]
-		if c == nil {
-			// Drain the blob positionally even without a live connection.
-			var scratch Conn
-			scratch.restore(d, false)
-			continue
-		}
-		c.restore(d, true)
-	}
-	return d.Err()
 }
 
 func (ep *Endpoint) sortedFlows() []packet.FlowID {
@@ -125,96 +97,4 @@ func (c *Conn) snapshot(e *snapshot.Encoder) {
 	c.MarkedAcks.Snapshot(e)
 	c.AckedBytes.Snapshot(e)
 	c.DeliveredData.Snapshot(e)
-}
-
-// restore decodes one connection blob. With apply=false the bytes are
-// consumed but discarded (used to skip connections absent at restore time).
-func (c *Conn) restore(d *snapshot.Decoder, apply bool) {
-	sndUna := d.U64()
-	sndNxt := d.U64()
-	appQueue := d.I64()
-	infinite := d.Bool()
-	nSegs := int(d.U32())
-	var segs ring.Queue[*seg]
-	for i := 0; i < nSegs && d.Err() == nil; i++ {
-		segs.Push(&seg{
-			seq:    d.U64(),
-			len:    d.Int(),
-			sentAt: sim.Time(d.I64()),
-			retx:   d.Int(),
-			sacked: d.Bool(),
-			epoch:  d.Int(),
-		})
-	}
-	dupAcks := d.Int()
-	inRecovery := d.Bool()
-	recoverSeq := d.U64()
-	recoveryEpoch := d.Int()
-	highSacked := d.U64()
-	lostBelow := d.U64()
-	srtt := sim.Time(d.I64())
-	rttvar := sim.Time(d.I64())
-	rtoBackoff := d.Int()
-	tlpArmed := d.Bool()
-	pacedUntil := sim.Time(d.I64())
-	if apply && c.rtoTimer != nil {
-		c.rtoTimer.RestoreState(d)
-		c.tlpTimer.RestoreState(d)
-		c.ackTimer.RestoreState(d)
-		c.paceTimer.RestoreState(d)
-	} else {
-		for i := 0; i < 4; i++ {
-			_ = d.Bool()
-			_ = d.I64()
-			_ = d.U64()
-		}
-	}
-	rcvNxt := d.U64()
-	nOOO := int(d.U32())
-	var ooo []interval
-	for i := 0; i < nOOO && d.Err() == nil; i++ {
-		ooo = append(ooo, interval{lo: d.U64(), hi: d.U64()})
-	}
-	lastOOO := interval{lo: d.U64(), hi: d.U64()}
-	lastEpochBump := sim.Time(d.I64())
-	pendingAcks := d.Int()
-	ceSinceLastAck := d.Bool()
-	lastCE := d.Bool()
-	lastDataSentAt := sim.Time(d.I64())
-	_ = d.Int() // cwnd: digest-only (the CC module owns its state)
-	if !apply {
-		var scratch stats.Counter
-		for i := 0; i < 6; i++ {
-			_ = scratch.Restore(d)
-		}
-		return
-	}
-	c.sndUna, c.sndNxt = sndUna, sndNxt
-	c.appQueue = appQueue
-	c.infinite = infinite
-	c.segs = segs
-	c.dupAcks = dupAcks
-	c.inRecovery = inRecovery
-	c.recoverSeq = recoverSeq
-	c.recoveryEpoch = recoveryEpoch
-	c.highSacked = highSacked
-	c.lostBelow = lostBelow
-	c.srtt, c.rttvar = srtt, rttvar
-	c.rtoBackoff = rtoBackoff
-	c.tlpArmed = tlpArmed
-	c.pacedUntil = pacedUntil
-	c.rcvNxt = rcvNxt
-	c.ooo = ooo
-	c.lastOOO = lastOOO
-	c.lastEpochBump = lastEpochBump
-	c.pendingAcks = pendingAcks
-	c.ceSinceLastAck = ceSinceLastAck
-	c.lastCE = lastCE
-	c.lastDataSentAt = lastDataSentAt
-	_ = c.Retransmits.Restore(d)
-	_ = c.Timeouts.Restore(d)
-	_ = c.TLPProbes.Restore(d)
-	_ = c.MarkedAcks.Restore(d)
-	_ = c.AckedBytes.Restore(d)
-	_ = c.DeliveredData.Restore(d)
 }
