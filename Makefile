@@ -9,6 +9,9 @@
 #   make chaos      fault-injection suite only
 #   make chaos-race chaos acceptance + sentinel tests under the race
 #                   detector (-short), its own CI job
+#   make fuzz-smoke run each fuzz target (event-queue pop order,
+#                   histogram quantiles) for FUZZTIME beyond its
+#                   checked-in seed corpus
 #   make bench      microbenchmarks (engine + datapath + full-system
 #                   throughput) -> BENCH_baseline.json
 #   make loc        print production Go line count (tracked files, no
@@ -57,7 +60,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race chaos chaos-race bench bench-smoke bench-parallel bench-fluid parallel-determinism api-compat telemetry-overhead figures vet staticcheck replay topology-smoke fluid-smoke crucible-smoke crucible-corpus eval-smoke loc
+.PHONY: all build test verify race chaos chaos-race bench bench-smoke fuzz-smoke bench-parallel bench-fluid parallel-determinism api-compat telemetry-overhead figures vet staticcheck replay topology-smoke fluid-smoke crucible-smoke crucible-corpus eval-smoke loc
 
 all: verify race
 
@@ -173,6 +176,13 @@ chaos:
 # blanket `make race` already covers the rest of the tree.
 chaos-race:
 	$(GO) test -race -short ./internal/faults/ ./internal/testbed/ -run 'TestChaos|TestSentinel|TestSharded' -count=1
+
+# Fuzz smoke: each target runs its seed corpus plus FUZZTIME of fresh
+# inputs. go test fuzzes one target per invocation, hence one line each.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzHistogramQuantile$$' -fuzztime $(FUZZTIME)
 
 # Microbenchmark suite. The -json stream is written to BENCH_baseline.json
 # (one test2json object per line); reconstruct benchstat input with

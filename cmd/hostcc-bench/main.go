@@ -69,6 +69,7 @@ import (
 	"time"
 
 	hostcc "repro"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 )
@@ -548,9 +549,17 @@ func runScaleOut(topology, scheme string, senders, receivers, flows, leaves, spi
 	}
 	fmt.Printf("== Scale-out — %s fabric (seed %d)\n", r.Topology, r.Seed)
 	fmt.Printf("   %s\n", r)
-	fmt.Printf("   event heap: peak %d pending of %d reserved\n", r.MaxPending, r.HeapCap)
+	fmt.Printf("   event queue: peak %d pending, %d capacity\n", r.MaxPending, r.HeapCap)
 	fmt.Printf("   [%.1fs]\n", time.Since(start).Seconds())
 	return nil
+}
+
+// leafSpineShape resolves the -leaves/-spines flags (0 picks the
+// default) to the leaf and spine counts the leaf-spine fabric is built
+// with, so the bench reports record the shape that actually ran.
+func leafSpineShape(leaves, spines int) (int, int) {
+	t := fabric.LeafSpine(leaves, spines)
+	return t.Racks(), t.Switches() - t.Racks()
 }
 
 // parallelRun is one timed execution in the -bench-parallel report.
@@ -590,14 +599,13 @@ func runBenchParallel(path string, leaves, spines, senders, receivers, flows int
 	report := parallelReport{
 		Cores:    runtime.NumCPU(),
 		Topology: "leafspine",
-		Leaves:   leaves,
-		Spines:   spines,
 		Senders:  senders,
 		Seed:     seed,
 		Speedup:  map[string]float64{},
 	}
+	report.Leaves, report.Spines = leafSpineShape(leaves, spines)
 	fmt.Printf("== Parallel engine bench — leafspine %dx%d, %d senders, %d cores (seed %d)\n",
-		leaves, spines, senders, report.Cores, seed)
+		report.Leaves, report.Spines, senders, report.Cores, seed)
 	var serial float64
 	for _, shards := range []int{1, 2, 4} {
 		start := time.Now()
@@ -679,7 +687,8 @@ func runBenchFluid(path string, leaves, spines, flowsOverride int, seed int64) e
 	if flowsOverride > 0 {
 		flowCounts = []int{flowsOverride}
 	}
-	report := fluidReport{Cores: runtime.NumCPU(), Seed: seed, Leaves: leaves, Spines: spines}
+	report := fluidReport{Cores: runtime.NumCPU(), Seed: seed}
+	report.Leaves, report.Spines = leafSpineShape(leaves, spines)
 	fmt.Printf("== Fluid tier bench — leafspine, %d cores (seed %d)\n", report.Cores, seed)
 	for _, flows := range flowCounts {
 		for _, shards := range []int{1, 2, 4} {

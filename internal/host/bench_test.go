@@ -28,7 +28,6 @@ type pair struct {
 
 func newPair(seed int64, mtu int, ddio bool) *pair {
 	e := sim.NewEngine(seed)
-	e.Reserve(8192)
 	pool := packet.NewPool(1024)
 
 	mk := func(id packet.HostID) *host.Host {

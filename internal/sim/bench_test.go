@@ -20,9 +20,8 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHeap measures heap push/pop with a realistic standing
-// population (hundreds of pending events), which is where heap arity and
-// memory layout matter.
+// BenchmarkEngineHeap measures event-queue push/pop with a realistic
+// standing population (hundreds of pending events at scattered times).
 func BenchmarkEngineHeap(b *testing.B) {
 	e := NewEngine(1)
 	h := e.Handler(func(_, _ uint64) {})
@@ -35,6 +34,30 @@ func BenchmarkEngineHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+Time((i*2654435761)%100000)+1, h, 0, 0)
+		e.Step()
+	}
+}
+
+// BenchmarkEngineStaleTimers measures the queue under the population a
+// 200 ms minimum RTO leaves behind: a dense near-term self-rescheduling
+// chain beside 80k far-future timers that a lazily-cancelled Timer
+// superseded but never removed. Each iteration is one chain event.
+func BenchmarkEngineStaleTimers(b *testing.B) {
+	e := NewEngine(1)
+	noop := e.Handler(func(_, _ uint64) {})
+	for i := 0; i < 80_000; i++ {
+		e.Schedule(200*Millisecond+Time(i*2654435761)%Millisecond, noop, 0, 0)
+	}
+	var h HandlerID
+	h = e.Handler(func(arg0, _ uint64) {
+		e.ScheduleAfter(Time(1+arg0%97), h, arg0+1, 0)
+	})
+	for i := uint64(0); i < 16; i++ {
+		e.ScheduleAfter(Time(i), h, i, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }
@@ -104,8 +127,8 @@ func TestTimerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestHeapZeroAllocWarm guards the heap: once the backing array has grown
-// to the standing population, push/pop never allocate.
+// TestHeapZeroAllocWarm guards the event queue: once its buckets have
+// grown to the standing population, push/pop never allocate.
 func TestHeapZeroAllocWarm(t *testing.T) {
 	e := NewEngine(1)
 	h := e.Handler(func(_, _ uint64) {})

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -22,92 +24,86 @@ type Callback struct {
 func (cb Callback) Set() bool { return cb.ID != 0 }
 
 // event is one scheduled occurrence. It is all scalars — no closure, no
-// interface — so the heap is a flat []event that the GC never scans and
-// push/pop never allocate.
+// interface — so the queue's buckets are flat []event slices that the GC
+// never scans and push/pop never allocate. It carries no sequence number:
+// the queue keeps same-instant events in push order by construction.
 type event struct {
 	at         Time
-	seq        uint64 // FIFO tie-break for events at the same instant
 	id         HandlerID
 	arg0, arg1 uint64
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). 4-ary
-// beats binary here: one fewer level per ~2x fan-out means fewer cache
-// lines touched per pop, and the hot comparison loop over four children
-// stays in one or two lines of the backing array. Because (at, seq) is a
-// total order (seq is unique), the pop sequence is identical to any other
-// min-heap's — heap shape cannot perturb simulation order.
-type eventHeap struct {
-	ev []event
+// eventQueue is a monotone radix heap (DESIGN.md "Event queue"). An
+// event waits in bucket bits.Len64(at^last), where last is the time of
+// the most recent pull; bucket 0 holds the events at exactly last and is
+// read FIFO. When it runs dry, the lowest non-empty bucket is pulled:
+// last moves to its earliest time and its events are redistributed, by
+// stable appends, into lower buckets. Equal times always share a bucket
+// and every move preserves relative order, so events at one instant
+// leave in push order: the pop order is exactly the (at, seq) order of a
+// comparison heap, without a stored seq or a single sift.
+//
+// Times are never negative (the clock starts at zero and Schedule
+// rejects the past), so 64 buckets cover every index. Only a pop moves
+// last: a peek that moved it would let a later Schedule in
+// [now, peeked) land below last and break the bucket invariant.
+type eventQueue struct {
+	last Time
+	head int    // read cursor into b[0]
+	n    int    // queued events
+	mask uint64 // bit i set: bucket i is non-empty (bit 0 is ignored)
+	b    [64][]event
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
-
-func evLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (q *eventQueue) push(ev event) {
+	i := bits.Len64(uint64(ev.at ^ q.last))
+	q.b[i] = append(q.b[i], ev)
+	q.mask |= 1 << i
+	q.n++
 }
 
-func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
-	ev := h.ev
-	i := len(ev) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !evLess(&e, &ev[p]) {
-			break
-		}
-		ev[i] = ev[p]
-		i = p
+// lowest returns the lowest non-empty bucket above 0 and its earliest
+// time; i is 0 when every such bucket is empty.
+func (q *eventQueue) lowest() (i int, at Time) {
+	m := q.mask &^ 1
+	if m == 0 {
+		return 0, 0
 	}
-	ev[i] = e
+	i = bits.TrailingZeros64(m)
+	b := q.b[i]
+	at = b[0].at
+	for _, ev := range b[1:] {
+		at = min(at, ev.at)
+	}
+	return i, at
 }
 
-// pop removes and returns the minimum event. Unlike the old
-// container/heap implementation there is no per-pop boxed copy and no
-// zeroing write of the vacated slot: events hold no pointers, so the
-// shrunken tail needs no clearing for the GC's sake.
-func (h *eventHeap) pop() event {
-	ev := h.ev
-	root := ev[0]
-	n := len(ev) - 1
-	last := ev[n]
-	h.ev = ev[:n]
-	if n > 0 {
-		h.siftDown(last)
+// popUntil removes and returns the earliest event if it is due at or
+// before deadline. Otherwise it reports false and leaves the queue, last
+// included, as it was.
+func (q *eventQueue) popUntil(deadline Time) (event, bool) {
+	if q.head == len(q.b[0]) {
+		q.b[0], q.head = q.b[0][:0], 0
+		i, at := q.lowest()
+		if i == 0 || at > deadline {
+			return event{}, false
+		}
+		q.last = at
+		src := q.b[i]
+		for _, ev := range src {
+			j := bits.Len64(uint64(ev.at ^ at))
+			q.b[j] = append(q.b[j], ev)
+			q.mask |= 1 << j
+		}
+		q.b[i] = src[:0]
+		q.mask &^= 1 << i
+	} else if q.last > deadline {
+		return event{}, false
 	}
-	return root
-}
-
-// siftDown places e starting at the root, moving smaller children up.
-func (h *eventHeap) siftDown(e event) {
-	ev := h.ev
-	n := len(ev)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if evLess(&ev[j], &ev[m]) {
-				m = j
-			}
-		}
-		if !evLess(&ev[m], &e) {
-			break
-		}
-		ev[i] = ev[m]
-		i = m
-	}
-	ev[i] = e
+	ev := q.b[0][q.head]
+	q.head++
+	q.n--
+	return ev, true
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -125,7 +121,7 @@ func (h *eventHeap) siftDown(e event) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       eventHeap
+	q       eventQueue
 	seed    int64
 	src     *countingSource
 	rng     *rand.Rand
@@ -144,7 +140,7 @@ type Engine struct {
 	Processed uint64
 
 	// maxPending is the high-water mark of the event queue — diagnostic
-	// only (Reserve sizing audits), deliberately excluded from Snapshot.
+	// only (memory audits), deliberately excluded from Snapshot.
 	maxPending int
 }
 
@@ -173,30 +169,12 @@ func (s *countingSource) Seed(seed int64) {
 	s.draws = 0
 }
 
-// defaultHeapHint pre-sizes the event heap: a loaded testbed keeps a few
-// hundred events pending, so starting at 1024 avoids every warm-up
-// regrowth without wasting memory on unit-test engines.
-const defaultHeapHint = 1024
-
 // NewEngine returns an engine at time zero with a deterministic RNG.
 func NewEngine(seed int64) *Engine {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	e := &Engine{seed: seed, src: src, rng: rand.New(src)}
-	e.q.ev = make([]event, 0, defaultHeapHint)
 	e.closureH = e.Handler(e.runClosure)
 	return e
-}
-
-// Reserve pre-sizes the event heap's backing array for at least n pending
-// events (a Config hint from the experiment harness), so warm-up never
-// pays heap regrowth copies. It never shrinks.
-func (e *Engine) Reserve(n int) {
-	if n <= cap(e.q.ev) {
-		return
-	}
-	grown := make([]event, len(e.q.ev), n)
-	copy(grown, e.q.ev)
-	e.q.ev = grown
 }
 
 // Handler registers fn and returns its ID for use with Schedule. Handlers
@@ -236,8 +214,8 @@ func (e *Engine) Schedule(t Time, id HandlerID, arg0, arg1 uint64) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, id: id, arg0: arg0, arg1: arg1})
-	if n := len(e.q.ev); n > e.maxPending {
+	e.q.push(event{at: t, id: id, arg0: arg0, arg1: arg1})
+	if n := e.q.n; n > e.maxPending {
 		e.maxPending = n
 	}
 }
@@ -303,43 +281,54 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return e.q.n }
 
 // NextEventAt peeks the timestamp of the earliest queued event. The
 // second return is false when the queue is empty. ShardGroup uses this
-// at barriers to bound the next conservative window.
+// at barriers to bound the next conservative window. It scans the lowest
+// bucket instead of pulling it, so the queue is left untouched.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if e.q.len() == 0 {
-		return 0, false
+	if e.q.head < len(e.q.b[0]) {
+		return e.q.last, true
 	}
-	return e.q.ev[0].at, true
+	i, at := e.q.lowest()
+	return at, i != 0
 }
 
 // MaxPending reports the high-water mark of the event queue over the
-// engine's lifetime (Reserve sizing audits).
+// engine's lifetime (memory audits).
 func (e *Engine) MaxPending() int { return e.maxPending }
 
-// HeapCap reports the event heap's backing capacity. Comparing it before
-// and after a run detects regrowth — a Reserve hint that was too small —
-// with no hot-path cost.
-func (e *Engine) HeapCap() int { return cap(e.q.ev) }
+// HeapCap reports the event queue's backing capacity, summed over its
+// buckets. Against MaxPending it bounds the memory the queue keeps.
+func (e *Engine) HeapCap() int {
+	c := 0
+	for _, b := range e.q.b {
+		c += cap(b)
+	}
+	return c
+}
 
 // Stop makes the current Run call return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if e.q.len() == 0 {
-		return false
+	ev, ok := e.q.popUntil(math.MaxInt64)
+	if ok {
+		e.dispatch(ev)
 	}
-	ev := e.q.pop()
+	return ok
+}
+
+// dispatch advances the clock to ev and runs its handler.
+func (e *Engine) dispatch(ev event) {
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
 	e.Processed++
 	e.handlers[ev.id-1](ev.arg0, ev.arg1)
-	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -354,10 +343,11 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		if e.q.len() == 0 || e.q.ev[0].at > deadline {
+		ev, ok := e.q.popUntil(deadline)
+		if !ok {
 			break
 		}
-		e.Step()
+		e.dispatch(ev)
 	}
 	if e.now < deadline {
 		e.now = deadline

@@ -4,14 +4,14 @@ import "repro/internal/snapshot"
 
 // Snapshot encodes the engine's replayable state: clock, sequence counter,
 // processed-event count, pending-event count, stop flag, and the RNG replay
-// cursor (seed + number of draws). The event queue itself holds closures
-// and is not encoded beyond its length; resumption is replay-based (see
-// package snapshot).
+// cursor (seed + number of draws). The queued events are not encoded
+// beyond their count: they carry handler IDs, which mean nothing outside
+// this engine, and resumption is replay-based (see package snapshot).
 func (e *Engine) Snapshot(enc *snapshot.Encoder) {
 	enc.I64(int64(e.now))
 	enc.U64(e.seq)
 	enc.U64(e.Processed)
-	enc.Int(e.q.len())
+	enc.Int(e.q.n)
 	enc.Bool(e.stopped)
 	enc.I64(e.seed)
 	enc.U64(e.src.draws)

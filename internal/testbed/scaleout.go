@@ -127,8 +127,8 @@ type ScaleOutResult struct {
 	NetRetx        int64
 
 	// MaxPending / HeapCap report the engine's peak pending-event count
-	// against its reserved capacity — the Reserve-sizing audit. Sharded
-	// runs report the maximum across shards. Events is the total events
+	// against the event queue's backing capacity — the queue's memory
+	// audit. Sharded runs report the maximum across shards. Events is the total events
 	// processed (summed across shards).
 	MaxPending int
 	HeapCap    int

@@ -338,64 +338,6 @@ type Testbed struct {
 // receivers hold IDs 1..R and the senders R+1, R+2, ...
 const receiverID packet.HostID = 1
 
-// heapHint derives one shard's Reserve pre-size from the experiment shape.
-// The pending-event population of a loaded run is bounded by: per flow,
-// the receive-window's worth of in-flight packets (each holds at most
-// one serializer or propagation event at a time, and each delivered
-// window generates up to as many ACKs in flight) plus the connection
-// timer set on both ends; per host, the bounded device pipeline (NIC,
-// PCIe, IIO, memory, MApp completions); a constant floor for the
-// harness (hostCC sampler, watchdog, chaos recorders, sentinel); and
-// the stale-timer population — sim.Timer cancellation is lazy (a Reset
-// leaves the superseded event in the heap until its old deadline), and
-// the transport re-arms its RTO timer on every ACK, so stale events
-// accumulate at the per-receiver packet rate for up to one RTO (or the
-// run length, whichever ends first). The pre-topology hint —
-// 4096*(1+Senders) — ignored Flows and the stale-timer term entirely:
-// it under-reserved both flow-heavy incast and long-RTO runs (regrowth
-// copies mid-run) while reserving megabytes that sender-heavy,
-// flow-light runs never touched.
-//
-// Only the hosts living on the shard (hostShard maps host index to
-// shard), the flows with an endpoint there and the stale timers of its
-// receivers count; on one engine that is everything. A flow's events
-// split between its two endpoint shards but are counted fully on both —
-// a bounded over-count that keeps the no-regrowth guarantee without
-// modeling where each in-flight packet is.
-func heapHint(opts Config, tcfg transport.Config, shard int, hostShard func(int) int) int {
-	hosts, receivers := 0, 0
-	for i := 0; i < opts.Receivers+opts.Senders; i++ {
-		if hostShard(i) != shard {
-			continue
-		}
-		hosts++
-		if i < opts.Receivers {
-			receivers++
-		}
-	}
-	flows := 0
-	for f := 0; f < opts.Flows; f++ {
-		rx := f % opts.Receivers
-		tx := opts.Receivers + f%opts.Senders
-		if hostShard(rx) == shard || hostShard(tx) == shard {
-			flows++
-		}
-	}
-
-	winPkts := tcfg.RcvWnd/tcfg.MSS + 1
-	perFlow := 2*winPkts + 16
-
-	rate := opts.LinkRate
-	if rate == 0 {
-		rate = sim.Gbps(100)
-	}
-	staleWindow := min(tcfg.MinRTO, opts.Warmup+opts.Measure)
-	stalePkts := float64(rate) * staleWindow.Seconds() / float64(opts.MTU)
-	stale := receivers * int(stalePkts)
-
-	return 2048 + 64*hosts + flows*perFlow + stale
-}
-
 // receiverName is the telemetry prefix of receiver i ("receiver" for the
 // primary, matching the single-receiver testbed's historical names).
 func receiverName(i int) string {
@@ -488,10 +430,6 @@ func New(opts Config) *Testbed {
 	if opts.MinRTO > 0 {
 		tcfg.MinRTO = opts.MinRTO
 		tcfg.InitialRTO = opts.MinRTO
-	}
-	// Pre-size every event heap so warm-up never pays a regrowth copy.
-	for i, e := range tb.engines {
-		e.Reserve(heapHint(opts, tcfg, i, hostShard))
 	}
 
 	mkHost := func(idx int, id packet.HostID) *host.Host {
@@ -886,7 +824,7 @@ func (tb *Testbed) PendingEvents() int {
 }
 
 // MaxPendingEvents returns the event-queue high-water mark (the worst
-// shard when sharded — each shard pre-sizes its own heap).
+// shard when sharded).
 func (tb *Testbed) MaxPendingEvents() int {
 	m := 0
 	for _, e := range tb.engines {
@@ -895,8 +833,8 @@ func (tb *Testbed) MaxPendingEvents() int {
 	return m
 }
 
-// EventHeapCap returns the event heap capacity (the largest shard's when
-// sharded).
+// EventHeapCap returns the event queue's backing capacity (the largest
+// shard's when sharded).
 func (tb *Testbed) EventHeapCap() int {
 	m := 0
 	for _, e := range tb.engines {
