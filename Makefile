@@ -6,6 +6,8 @@
 #                   would take >10 min under the detector for no extra
 #                   race coverage; -short keeps the concurrent paths —
 #                   sweeps, meters — under the detector in ~2 min)
+#   make replay     determinism gate: golden digests, checkpoint resume,
+#                   sentinel, non-perturbing digest recorder
 #   make chaos      fault-injection suite only
 #   make chaos-race chaos acceptance + sentinel tests under the race
 #                   detector (-short), its own CI job
@@ -84,9 +86,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Determinism gate: golden digests, checkpoint replay, sentinel.
+# Determinism gate: golden digests, checkpoint replay (full-prefix
+# resume, checkpoint write errors), sentinel, and a recorder that does
+# not perturb the run it records.
 replay:
-	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestReplay|TestSentinel|TestDivergence|TestCheckpoint' -count=1
+	$(GO) test ./internal/testbed/ -run 'TestGoldenDigest|TestReplay|TestSentinel|TestDivergence|TestCheckpoint|TestSnapshotDoesNotPerturb|TestChaosCheckpointWriteError|TestResumeChaosRequiresFullReplay' -count=1
 
 # Scale-out smoke: a short leaf-spine run with replay verification — the
 # bench runs the fabric twice and fails unless every digest frame and the

@@ -197,6 +197,9 @@ type (
 	// ReplayReport is the outcome of a verified replay from a checkpoint
 	// file (ResumeChaos).
 	ReplayReport = testbed.ReplayReport
+	// Recording is the replay record ChaosResult and ScaleOutResult
+	// embed: final digest, per-component digests, frame count, Verified.
+	Recording = testbed.Recording
 	// StallReport is the liveness sentinel's diagnostic for one detected
 	// stall, including the classified wait-for graph.
 	StallReport = sim.StallReport

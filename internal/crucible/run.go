@@ -198,14 +198,9 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 		victim = tb.StartNetAppL(4096, 0, nil)
 	}
 
-	reg := tb.Registry()
-	tb.Every(digestEvery, func() {
-		o.timeline.Append(snapshot.Frame{
-			At:      int64(tb.Now()),
-			Events:  tb.Processed(),
-			Digests: reg.Digests(),
-		})
-	})
+	rec := tb.RecordDigests(digestEvery)
+	o.timeline = rec.Timeline() // a panicked run keeps the frames it recorded
+	reg := rec.Registry()
 
 	window := sentinelWindow(plan)
 	sen := tb.StartSentinel(sim.SentinelConfig{Window: window, Policy: sim.SentinelAbort})
@@ -312,7 +307,8 @@ func runOnce(sc Scenario, opts testbed.Config, plan faults.Plan) (o *outcome) {
 	tb.Inv.Stop()
 	sen.Stop()
 
-	o.digest = snapshot.Combined(reg.Digests())
+	_, recd := rec.Stop()
+	o.digest = recd.Digest
 	return o
 }
 

@@ -219,10 +219,9 @@ type CellResult struct {
 	Retx     int64 `json:"retx"`
 	Timeouts int64 `json:"timeouts"`
 
-	// Digest is the combined component digest at end of run; Verified
-	// reports that a second run reproduced the digest timeline exactly.
-	Digest   uint64 `json:"digest"`
-	Verified bool   `json:"verified"`
+	// Recording carries the combined component digest at end of run and
+	// whether a second run reproduced the digest timeline exactly.
+	testbed.Recording
 }
 
 // cellConfig compiles one cell into a testbed configuration.
@@ -286,25 +285,10 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 	// Digest recorder (replay verification) and goodput series
 	// (convergence estimation). Both run on the coordinator in sharded
 	// mode, reading quiesced global state.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
-	recording := true
-	tb.Every(cfg.DigestEvery, func() {
-		if !recording {
-			return
-		}
-		timeline.Append(snapshot.Frame{
-			At:      int64(tb.Now()),
-			Events:  tb.Processed(),
-			Digests: reg.Digests(),
-		})
-	})
+	rec := tb.RecordDigests(cfg.DigestEvery)
 	var series []float64
 	var lastBytes int64
 	tb.Every(cfg.SampleEvery, func() {
-		if !recording {
-			return
-		}
 		b := tb.NetT.DeliveredBytes()
 		series = append(series, sim.Rate(float64(b-lastBytes)/cfg.SampleEvery.Seconds()).Gbps())
 		lastBytes = b
@@ -319,7 +303,6 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 	for _, h := range tb.HCCs {
 		h.Stop()
 	}
-	recording = false
 
 	res := CellResult{
 		CellSpec:     spec,
@@ -329,37 +312,27 @@ func runCell(spec CellSpec, cfg Config) (CellResult, *snapshot.Timeline, error) 
 		VictimRPCs:   int(victim.Latency.Count()),
 		Retx:         m.NetRetx,
 		Timeouts:     m.NetTimeouts,
-		Digest:       snapshot.Combined(reg.Digests()),
 	}
+	tl, recd := rec.Stop()
+	res.Recording = recd
 	if idx := ConvergenceIndex(series, cfg.ConvergenceTol); idx >= 0 {
 		res.ConvergenceUs = float64(idx) * cfg.SampleEvery.Micros()
 	} else {
 		res.ConvergenceUs = -1
 	}
-	return res, timeline, nil
+	return res, tl, nil
 }
 
 // runCellVerified runs one cell, then (unless disabled) replays it and
 // fails loudly on any digest divergence — every reported number comes
 // from a reproducible simulation.
 func runCellVerified(spec CellSpec, cfg Config) (CellResult, error) {
-	res, tl, err := runCell(spec, cfg)
-	if err != nil {
-		return CellResult{}, err
-	}
+	run := func() (CellResult, *snapshot.Timeline, error) { return runCell(spec, cfg) }
 	if cfg.NoVerify {
-		return res, nil
+		res, _, err := run()
+		return res, err
 	}
-	res2, tl2, err := runCell(spec, cfg)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("evalharness: replay: %w", err)
-	}
-	if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
-		return CellResult{}, fmt.Errorf("evalharness: cell %s/%s/%s: %w",
-			spec.Scheme, spec.Topology, spec.Workload, err)
-	}
-	res.Verified = true
-	return res, nil
+	return testbed.RunTwice(run)
 }
 
 // Run executes the full matrix and assembles the report. Cell order in

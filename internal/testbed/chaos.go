@@ -175,27 +175,18 @@ type ChaosResult struct {
 	InvariantChecks int64
 	Violations      []string
 
-	// Determinism instrumentation. Digest is the combined hash over every
-	// component's final state (always computed); ComponentDigests is the
-	// per-component breakdown; Frames counts digest frames recorded and
-	// Checkpoints the checkpoint files written during the run.
-	Digest           uint64
-	ComponentDigests []snapshot.Digest
-	Frames           int
-	Checkpoints      int
+	// Determinism instrumentation: the replay record (the final digest is
+	// always computed; Verified reports that the VerifyReplay
+	// re-execution matched, a mismatch being RunChaos's error) and the
+	// number of checkpoint files written during the run.
+	Recording
+	Checkpoints int
 
 	// Stall is the sentinel's first report (nil when no stall was
 	// detected); StallSnapshot is the diagnostic checkpoint path written
 	// on abort ("" when none was written).
 	Stall         *sim.StallReport
 	StallSnapshot string
-
-	// ReplayVerified reports that the VerifyReplay re-execution matched
-	// the recording (always false when VerifyReplay was off; a mismatch
-	// is RunChaos's error); ReplayFrames is how many digest frames were
-	// compared.
-	ReplayVerified bool
-	ReplayFrames   int
 }
 
 // RunChaos executes one chaos scenario: build a loaded testbed with the
@@ -206,22 +197,17 @@ type ChaosResult struct {
 // behavior — is a deterministic function of cfg.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	res, tl, err := runChaos(cfg)
-	if err != nil || !cfg.VerifyReplay {
+	run := func() (ChaosResult, *snapshot.Timeline, error) { return runChaos(cfg) }
+	if !cfg.VerifyReplay {
+		res, _, err := run()
 		return res, err
 	}
-	// Replay verification: the run is a pure function of cfg, so a second
-	// execution must reproduce every digest frame and the final combined
-	// digest bit for bit.
-	res2, tl2, err := runChaos(cfg)
+	// The run is a pure function of cfg, so a second execution must
+	// reproduce every digest frame and the final digest bit for bit.
+	res, err := RunTwice(run)
 	if err != nil {
-		return res, fmt.Errorf("testbed: chaos replay: %w", err)
+		return res, fmt.Errorf("testbed: chaos: %w", err)
 	}
-	if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
-		return res, fmt.Errorf("testbed: chaos %s: %w", res.Scenario, err)
-	}
-	res.ReplayVerified = true
-	res.ReplayFrames = tl.Len()
 	return res, nil
 }
 
@@ -312,47 +298,40 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 
 	tb.StartNetAppT()
 
-	// Determinism instrumentation: the registry covers every component,
-	// the recorder samples digest frames (and captures checkpoints inside
-	// its own ticks, so the capture never perturbs event ordering relative
-	// to a same-config run), and the sentinel watches for stalled progress.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
+	// Determinism instrumentation: the recorder digests every component
+	// and captures checkpoints inside its own ticks, so the capture never
+	// perturbs event ordering relative to a same-config run; the sentinel
+	// watches for stalled progress. Its ticker is registered first, so a
+	// frame due with a sentinel check precedes it.
+	rec := tb.RecordDigests(cfg.DigestEvery)
 	meta := chaosMeta(cfg, scenarioKey, topoKind.String())
-	capture := func() *snapshot.Checkpoint {
-		return &snapshot.Checkpoint{
+	// writeCk writes a checkpoint of the state now; the first failed
+	// write is the run's error.
+	var writeErr error
+	writeCk := func(path string) bool {
+		ck := &snapshot.Checkpoint{
 			Meta:        meta,
 			VirtualTime: int64(tb.Now()),
 			Events:      tb.Processed(),
-			Timeline:    *timeline,
-			State:       reg.EncodeAll(),
+			Timeline:    *rec.Timeline(),
+			State:       rec.Registry().EncodeAll(),
 		}
+		err := ck.WriteFile(path)
+		if err != nil && writeErr == nil {
+			writeErr = fmt.Errorf("testbed: write checkpoint %s: %w", path, err)
+		}
+		return err == nil
 	}
-	recording := false
-	var lastBucket uint64
-	if cfg.DigestEvery > 0 {
-		// In sharded mode the recorder runs as a coordinator hook: every
-		// shard is quiesced at the hook point, so the registry digest reads
-		// one consistent global state.
-		recording = true
-		tb.Every(cfg.DigestEvery, func() {
-			if !recording {
-				return
-			}
-			timeline.Append(snapshot.Frame{
-				At:      int64(tb.Now()),
-				Events:  tb.Processed(),
-				Digests: reg.Digests(),
-			})
-			if cfg.CheckpointEvery > 0 {
-				if bucket := tb.Processed() / cfg.CheckpointEvery; bucket > lastBucket {
-					lastBucket = bucket
-					if err := capture().WriteFile(cfg.CheckpointPath); err == nil {
-						res.Checkpoints++
-					}
+	if cfg.CheckpointEvery > 0 {
+		var lastBucket uint64
+		rec.AfterFrame = func() {
+			if bucket := tb.Processed() / cfg.CheckpointEvery; bucket > lastBucket {
+				lastBucket = bucket
+				if writeCk(cfg.CheckpointPath) {
+					res.Checkpoints++
 				}
 			}
-		})
+		}
 	}
 
 	var sen *sim.Sentinel
@@ -362,10 +341,8 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 			Policy: cfg.SentinelPolicy,
 		})
 		sen.OnStall(func(*sim.StallReport) {
-			if cfg.SnapshotOnStall != "" && res.StallSnapshot == "" {
-				if err := capture().WriteFile(cfg.SnapshotOnStall); err == nil {
-					res.StallSnapshot = cfg.SnapshotOnStall
-				}
+			if cfg.SnapshotOnStall != "" && res.StallSnapshot == "" && writeCk(cfg.SnapshotOnStall) {
+				res.StallSnapshot = cfg.SnapshotOnStall
 			}
 		})
 	}
@@ -424,11 +401,9 @@ func runChaos(cfg ChaosConfig) (ChaosResult, *snapshot.Timeline, error) {
 		res.Stall = sen.Report()
 		sen.Stop()
 	}
-	recording = false
-	res.Frames = timeline.Len()
-	res.ComponentDigests = reg.Digests()
-	res.Digest = snapshot.Combined(res.ComponentDigests)
-	return res, timeline, nil
+	tl, recd := rec.Stop()
+	res.Recording = recd
+	return res, tl, writeErr
 }
 
 // chaosMeta flattens the (defaulted) run configuration into checkpoint
@@ -510,11 +485,14 @@ type ReplayReport struct {
 	// Result is the completed run (replayed past the checkpoint to the
 	// end, or to the same sentinel abort the original hit).
 	Result ChaosResult
-	// Verified reports that every digest frame recorded in the checkpoint
-	// matched the replay; FramesChecked is how many frames were compared.
+	// Verified reports that the replay reproduced every digest frame
+	// recorded in the checkpoint (it may record more: a checkpoint is
+	// taken mid-run); FramesChecked is how many frames were compared.
 	Verified      bool
 	FramesChecked int
-	// Divergence names the first mismatching component when !Verified.
+	// Divergence names the first mismatching component when !Verified,
+	// or "(replay ended)" at the first recorded frame the replay never
+	// reached.
 	Divergence *snapshot.Divergence
 }
 
@@ -537,10 +515,13 @@ func ResumeChaos(path string) (ReplayReport, error) {
 	if err != nil {
 		return ReplayReport{}, fmt.Errorf("testbed: replay %s: %w", path, err)
 	}
-	rep := ReplayReport{Result: res}
-	rep.FramesChecked = min(len(ck.Timeline.Frames), tl.Len())
+	recorded := ck.Timeline.Frames
+	rep := ReplayReport{Result: res, FramesChecked: min(len(recorded), tl.Len())}
 	if div, found := snapshot.FirstDivergence(&ck.Timeline, tl); found {
 		rep.Divergence = &div
+	} else if rep.FramesChecked < len(recorded) {
+		f := recorded[rep.FramesChecked]
+		rep.Divergence = &snapshot.Divergence{Component: "(replay ended)", At: f.At, Events: f.Events, FrameIndex: rep.FramesChecked}
 	} else {
 		rep.Verified = rep.FramesChecked > 0
 	}

@@ -94,10 +94,10 @@ func TestChaosGracefulDegradation(t *testing.T) {
 				t.Error("no fault window transitions recorded — injector not armed?")
 			}
 			if c.verifyReplay {
-				if !r.ReplayVerified {
+				if !r.Verified {
 					t.Error("replay verification failed: second execution diverged from the first")
 				}
-				if r.ReplayFrames == 0 {
+				if r.Frames == 0 {
 					t.Error("replay verified zero digest frames")
 				}
 			}

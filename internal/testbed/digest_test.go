@@ -59,11 +59,8 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 		tb := New(cfg)
 		defer tb.Close()
 		tb.StartNetAppT()
-		reg := tb.Registry()
-		tl := &snapshot.Timeline{}
-		tb.Every(100*sim.Microsecond, func() {
-			tl.Append(snapshot.Frame{At: int64(tb.Now()), Events: tb.Processed(), Digests: reg.Digests()})
-		})
+		rec := tb.RecordDigests(100 * sim.Microsecond)
+		reg := rec.Registry()
 		tb.Every(70*sim.Microsecond, func() {
 			if snap {
 				reg.EncodeAll()
@@ -71,7 +68,8 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 			}
 		})
 		tb.RunFor(sim.Millisecond)
-		return tl, snapshot.Combined(reg.Digests())
+		tl, recd := rec.Stop()
+		return tl, recd.Digest
 	}
 	for _, c := range []struct {
 		name string

@@ -133,14 +133,10 @@ func fluidChaosDigest(t *testing.T) (*snapshot.Timeline, uint64, uint64, uint64)
 	tb := New(opts)
 	defer tb.Close()
 	tb.StartNetAppT()
-	reg := tb.Registry()
-	tl := &snapshot.Timeline{}
-	tb.Every(500*sim.Microsecond, func() {
-		tl.Append(snapshot.Frame{At: int64(tb.Now()), Events: tb.Processed(), Digests: reg.Digests()})
-	})
+	rec := tb.RecordDigests(500 * sim.Microsecond)
 	tb.RunWindow()
-	return tl, tb.FluidNet.Promotions(), tb.FluidNet.Demotions(),
-		snapshot.Combined(reg.Digests())
+	tl, recd := rec.Stop()
+	return tl, tb.FluidNet.Promotions(), tb.FluidNet.Demotions(), recd.Digest
 }
 
 // TestFluidPromoteDemoteDeterminism: a trunk-flap window promotes the

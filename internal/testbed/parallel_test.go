@@ -102,7 +102,7 @@ func TestShardedChaosAcceptance(t *testing.T) {
 			if r.FaultEvents == 0 {
 				t.Error("no fault window transitions recorded — injector not armed?")
 			}
-			if !r.ReplayVerified {
+			if !r.Verified {
 				t.Error("replay verification failed: second execution diverged from the first")
 			}
 		})

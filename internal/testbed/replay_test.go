@@ -257,3 +257,79 @@ func TestCheckpointResumeErrors(t *testing.T) {
 		t.Fatal("resume of corrupt file did not error")
 	}
 }
+
+// TestChaosCheckpointWriteError: a checkpoint that cannot be written is
+// the run's error, naming the path — both the periodic CheckpointPath and
+// the sentinel's SnapshotOnStall — rather than a run that reports zero
+// checkpoints and no error.
+func TestChaosCheckpointWriteError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	wedge := faults.Plan{Name: "wedge", Injections: []faults.Injection{
+		faults.OneShot(faults.PCIeStall, 6*sim.Millisecond, 50*sim.Millisecond),
+	}}
+	for _, c := range []struct {
+		path string
+		cfg  ChaosConfig
+	}{
+		{filepath.Join(dir, "run.ckpt"), ChaosConfig{Scenario: "credit-stall", Seed: 7, CheckpointEvery: 100_000}},
+		{filepath.Join(dir, "stall.ckpt"), ChaosConfig{
+			Plan: &wedge, Seed: 7, FaultFor: 50 * sim.Millisecond,
+			SentinelWindow: 500 * sim.Microsecond, SentinelPolicy: sim.SentinelAbort,
+		}},
+	} {
+		if c.cfg.CheckpointEvery > 0 {
+			c.cfg.CheckpointPath = c.path
+		} else {
+			c.cfg.SnapshotOnStall = c.path
+		}
+		r, err := RunChaos(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.path) {
+			t.Errorf("%s: err = %v, want a write error naming the path", filepath.Base(c.path), err)
+		}
+		if r.Checkpoints != 0 || r.StallSnapshot != "" {
+			t.Errorf("%s: reports %d checkpoints, stall snapshot %q; no file was written",
+				filepath.Base(c.path), r.Checkpoints, r.StallSnapshot)
+		}
+	}
+}
+
+// TestResumeChaosRequiresFullReplay: a replay that reproduces only a
+// prefix of the recorded timeline is not verified. The checkpoint is
+// tampered with 500 frames past the end of the run; the replay matches
+// every frame it records, yet never reaches the appended ones.
+func TestResumeChaosRequiresFullReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := RunChaos(ChaosConfig{
+		Scenario: "credit-stall", Seed: 7,
+		CheckpointEvery: 100_000, CheckpointPath: path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := len(ck.Timeline.Frames)
+	last := ck.Timeline.Frames[recorded-1]
+	for i := 1; i <= 500; i++ {
+		f := last
+		f.At += int64(i) * int64(500*sim.Microsecond)
+		ck.Timeline.Append(f)
+	}
+	if err := ck.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ResumeChaos(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verified {
+		t.Fatalf("verified a replay that checked %d of %d recorded frames", rep.FramesChecked, len(ck.Timeline.Frames))
+	}
+	if rep.FramesChecked < recorded || rep.FramesChecked >= len(ck.Timeline.Frames) {
+		t.Fatalf("checked %d frames; want the replay's own %d-plus, short of %d", rep.FramesChecked, recorded, len(ck.Timeline.Frames))
+	}
+	if rep.Divergence == nil || rep.Divergence.Component != "(replay ended)" || rep.Divergence.FrameIndex != rep.FramesChecked {
+		t.Fatalf("divergence = %v, want (replay ended) at frame %d", rep.Divergence, rep.FramesChecked)
+	}
+}

@@ -134,14 +134,9 @@ type ScaleOutResult struct {
 	HeapCap    int
 	Events     uint64
 
-	// Digest is the combined final-state hash; ComponentDigests the
-	// per-component breakdown; Frames the digest frames recorded;
-	// Verified whether a second run reproduced every frame (false when
+	// Recording is the run's replay record (Verified stays false when
 	// VerifyReplay is off).
-	Digest           uint64
-	ComponentDigests []snapshot.Digest
-	Frames           int
-	Verified         bool
+	Recording
 }
 
 // String renders the result as a one-line summary.
@@ -171,19 +166,14 @@ func (r ScaleOutResult) String() string {
 // cfg: same config, same digest timeline, frame for frame.
 func RunScaleOut(cfg ScaleOutConfig) (ScaleOutResult, error) {
 	cfg = cfg.withDefaults()
-	res, tl, err := runScaleOut(cfg)
-	if err != nil {
+	run := func() (ScaleOutResult, *snapshot.Timeline, error) { return runScaleOut(cfg) }
+	if !cfg.VerifyReplay {
+		res, _, err := run()
 		return res, err
 	}
-	if cfg.VerifyReplay {
-		res2, tl2, err := runScaleOut(cfg)
-		if err != nil {
-			return res, fmt.Errorf("testbed: scale-out replay: %w", err)
-		}
-		if err := snapshot.VerifyReplay(tl, res.Digest, tl2, res2.Digest); err != nil {
-			return res, fmt.Errorf("testbed: scale-out %w", err)
-		}
-		res.Verified = true
+	res, err := RunTwice(run)
+	if err != nil {
+		return res, fmt.Errorf("testbed: scale-out: %w", err)
 	}
 	return res, nil
 }
@@ -247,22 +237,7 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 	}
 	tb.StartNetAppT()
 
-	// The recorder runs on the coordinator in sharded mode: every shard is
-	// quiesced at the hook, so the registry digest reads a consistent
-	// global state at one virtual time.
-	reg := tb.Registry()
-	timeline := &snapshot.Timeline{}
-	recording := true
-	tb.Every(cfg.DigestEvery, func() {
-		if !recording {
-			return
-		}
-		timeline.Append(snapshot.Frame{
-			At:      int64(tb.Now()),
-			Events:  tb.Processed(),
-			Digests: reg.Digests(),
-		})
-	})
+	rec := tb.RecordDigests(cfg.DigestEvery)
 
 	m := tb.RunWindow()
 	res.ThroughputGbps = m.ThroughputGbps
@@ -290,9 +265,7 @@ func runScaleOut(cfg ScaleOutConfig) (ScaleOutResult, *snapshot.Timeline, error)
 	for _, h := range tb.HCCs {
 		h.Stop()
 	}
-	recording = false
-	res.Frames = timeline.Len()
-	res.ComponentDigests = reg.Digests()
-	res.Digest = snapshot.Combined(res.ComponentDigests)
-	return res, timeline, nil
+	tl, recd := rec.Stop()
+	res.Recording = recd
+	return res, tl, nil
 }
