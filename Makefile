@@ -198,11 +198,14 @@ bench:
 
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration) and the zero-alloc guards must hold — including the fluid
-# integrator (0 allocs per Tick) and digest frames (allocations that do
-# not grow with state size).
+# integrator (0 allocs per Tick), digest frames (allocations that do
+# not grow with state size) and a full star testbed window with MApp and
+# hostCC on (0 allocs per 100 µs). The 1x stream goes to a temp file so
+# it never overwrites the `make bench` numbers in BENCH_baseline.json. The
+# guard run's exit status is kept (a pipe into grep would mask a failure).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath|BenchmarkFluidTick|BenchmarkRegistryDigests' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ ./internal/fluid/ ./internal/snapshot/ . > BENCH_baseline.json
-	$(GO) test ./internal/sim/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ 		./internal/fluid/ ./internal/snapshot/ -run 'ZeroAlloc|NoAlloc' -count=1 -v | grep -E '^(=== RUN|--- |ok|FAIL)'
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDatapath|BenchmarkFluidTick|BenchmarkRegistryDigests' -benchtime=1x 		-benchmem -count=1 -json ./internal/sim/ ./internal/host/ ./internal/fluid/ ./internal/snapshot/ . > /tmp/bench_smoke.json
+	$(GO) test ./internal/sim/ ./internal/ring/ ./internal/packet/ ./internal/host/ ./internal/telemetry/ 		./internal/fluid/ ./internal/snapshot/ ./internal/testbed/ -run 'ZeroAlloc|NoAlloc' -count=1 -v > /tmp/bench_smoke_alloc.log; 		st=$$?; grep -E '^(=== RUN|--- |ok|FAIL)' /tmp/bench_smoke_alloc.log; exit $$st
 
 # API-compat gate: examples/ is a separate module that can only see the
 # repo's exported API, so building it fails the moment a public signature

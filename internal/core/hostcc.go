@@ -204,6 +204,16 @@ type HostCC struct {
 
 	running bool
 
+	// The sampling loop runs on handlers registered once in New: sampleH
+	// starts a sample, roccDoneH and rinsDoneH receive its two MSR reads.
+	// One sample is in flight at a time; pendROCC/pendROCCAt hold its
+	// first read until the second retires.
+	sampleH    sim.HandlerID
+	roccDoneH  sim.HandlerID
+	rinsDoneH  sim.HandlerID
+	pendROCC   uint64
+	pendROCCAt sim.Time
+
 	// wd is the signal/actuation failsafe (nil when not configured).
 	wd *Watchdog
 
@@ -254,6 +264,9 @@ func New(e *sim.Engine, f *msr.File, mba LevelController, cfg Config) *HostCC {
 		bsEWMA:      stats.NewEWMA(cfg.WeightBS),
 		ReadLatency: stats.NewHistogram(30),
 	}
+	h.sampleH = e.Handler(func(_, _ uint64) { h.sample() })
+	h.roccDoneH = e.Handler(h.roccDone)
+	h.rinsDoneH = e.Handler(h.rinsDone)
 	if cfg.Watchdog != nil {
 		h.wd = newWatchdog(e, mba, *cfg.Watchdog)
 	}
@@ -326,41 +339,48 @@ func (h *HostCC) sample() {
 	if !h.running {
 		return
 	}
-	id := h.sampleSeq
+	h.tr.RangeBegin(telemetry.HopSample, h.sampleSeq, h.e.Now())
 	h.sampleSeq++
-	h.tr.RangeBegin(telemetry.HopSample, id, h.e.Now())
-	h.f.Read(msr.IIOOccupancy, func(rocc uint64, lat sim.Time, err error) {
-		h.ReadLatency.Add(float64(lat))
-		if err != nil {
-			h.sampleFailed(id)
-			return
-		}
-		tRocc := h.f.ReadTSC()
-		h.f.Read(msr.IIOInsertions, func(rins uint64, lat2 sim.Time, err error) {
-			h.ReadLatency.Add(float64(lat2))
-			if err != nil {
-				h.sampleFailed(id)
-				return
-			}
-			tRins := h.f.ReadTSC()
-			h.ingest(rocc, tRocc, rins, tRins)
-			h.tr.RangeEnd(telemetry.HopSample, id, h.e.Now(), "sampled")
-			h.e.After(h.cfg.SampleInterval, h.sample)
-		})
-	})
+	h.f.Read(msr.IIOOccupancy, h.roccDoneH)
+}
+
+// roccDone receives the sample's ROCC read and issues the RINS read.
+func (h *HostCC) roccDone(rocc, res uint64) {
+	lat, err := msr.ReadResult(res)
+	h.ReadLatency.Add(float64(lat))
+	if err != nil {
+		h.sampleFailed()
+		return
+	}
+	h.pendROCC, h.pendROCCAt = rocc, h.f.ReadTSC()
+	h.f.Read(msr.IIOInsertions, h.rinsDoneH)
+}
+
+// rinsDone receives the sample's RINS read, folds the snapshot into the
+// signals and schedules the next sample.
+func (h *HostCC) rinsDone(rins, res uint64) {
+	lat, err := msr.ReadResult(res)
+	h.ReadLatency.Add(float64(lat))
+	if err != nil {
+		h.sampleFailed()
+		return
+	}
+	h.ingest(h.pendROCC, h.pendROCCAt, rins, h.f.ReadTSC())
+	h.tr.RangeEnd(telemetry.HopSample, h.sampleSeq-1, h.e.Now(), "sampled")
+	h.e.ScheduleAfter(h.cfg.SampleInterval, h.sampleH, 0, 0)
 }
 
 // sampleFailed accounts one failed signal collection and keeps the
 // sampling loop alive: the signal EWMAs are left untouched and the next
 // sample is scheduled normally (the kernel module's rdmsr wrapper does
 // the same — a fault is logged, the sample skipped).
-func (h *HostCC) sampleFailed(id uint64) {
+func (h *HostCC) sampleFailed() {
 	h.FailedSamples.Inc()
-	h.tr.RangeEnd(telemetry.HopSample, id, h.e.Now(), "read-failed")
+	h.tr.RangeEnd(telemetry.HopSample, h.sampleSeq-1, h.e.Now(), "read-failed")
 	if h.wd != nil {
 		h.wd.noteReadFailure()
 	}
-	h.e.After(h.cfg.SampleInterval, h.sample)
+	h.e.ScheduleAfter(h.cfg.SampleInterval, h.sampleH, 0, 0)
 }
 
 // ingest folds one counter snapshot into the signal EWMAs and triggers

@@ -55,6 +55,12 @@ type MApp struct {
 
 	stalled bool    // fault injection: all cores parked
 	burst   float64 // fault injection: issue-overhead divisor (0 or 1 = off)
+
+	// issueH runs one core's next iteration; doneH is the memory
+	// controller's completion callback. Cores are interchangeable, so
+	// neither carries per-core state and no request allocates.
+	issueH sim.HandlerID
+	doneH  sim.HandlerID
 }
 
 // NewMApp creates the traffic generator. mba may be nil (never throttled).
@@ -69,6 +75,8 @@ func NewMApp(e *sim.Engine, mc *mem.Controller, mba *MBA, cfg MAppConfig) *MApp 
 		cfg.Efficiency = 1
 	}
 	a := &MApp{e: e, mc: mc, mba: mba, cfg: cfg}
+	a.issueH = e.Handler(func(_, _ uint64) { a.coreIssue() })
+	a.doneH = e.Handler(a.done)
 	if mba != nil {
 		mba.OnChange(func(_, _ int) { a.resumeParked() })
 	}
@@ -130,21 +138,25 @@ func (a *MApp) coreIssue() {
 		Class:      mem.ClassMApp,
 		Efficiency: a.cfg.Efficiency,
 		Weight:     a.cfg.LFB,
-		OnComplete: func(sim.Time) {
-			delay := a.cfg.IssueOverhead
-			if a.burst > 1 {
-				delay = sim.Time(float64(delay) / a.burst)
-			}
-			if a.mba != nil {
-				delay += a.mba.Delay()
-			}
-			if delay > 0 {
-				a.e.After(delay, a.coreIssue)
-			} else {
-				a.coreIssue()
-			}
-		},
+		CompleteCB: sim.Callback{ID: a.doneH},
 	})
+}
+
+// done completes one core's iteration: the core issues again after the
+// issue overhead plus any MBA-imposed delay.
+func (a *MApp) done(_, _ uint64) {
+	delay := a.cfg.IssueOverhead
+	if a.burst > 1 {
+		delay = sim.Time(float64(delay) / a.burst)
+	}
+	if a.mba != nil {
+		delay += a.mba.Delay()
+	}
+	if delay > 0 {
+		a.e.ScheduleAfter(delay, a.issueH, 0, 0)
+	} else {
+		a.coreIssue()
+	}
 }
 
 func (a *MApp) resumeParked() {

@@ -75,6 +75,10 @@ type MBA struct {
 	writing  bool // MSR write in flight
 	onChange []func(old, new int)
 
+	// writeDoneH retires the in-flight write, dispatched as (level,
+	// dropped); one write is in flight at a time.
+	writeDoneH sim.HandlerID
+
 	// writeFault, when set, is consulted once per MSR write.
 	writeFault func() WriteFault
 
@@ -98,6 +102,7 @@ func NewMBA(e *sim.Engine, f *msr.File, cfg MBAConfig) *MBA {
 		panic("cpu: MBA needs at least one level")
 	}
 	m := &MBA{e: e, cfg: cfg}
+	m.writeDoneH = e.Handler(m.writeDone)
 	if f != nil {
 		f.RegisterWriter(msr.MBAThrottle, cfg.WriteLatency, func(v uint64) {
 			m.apply(int(v))
@@ -172,34 +177,40 @@ func (m *MBA) startWrite() {
 	if m.writeFault != nil {
 		fault = m.writeFault()
 	}
-	id := m.writeSeq
+	m.tr.RangeBegin(telemetry.HopMBAWrite, m.writeSeq, m.e.Now())
 	m.writeSeq++
-	m.tr.RangeBegin(telemetry.HopMBAWrite, id, m.e.Now())
-	m.e.After(m.cfg.WriteLatency+fault.ExtraLatency, func() {
-		m.writing = false
-		if m.tr != nil {
-			cause := "applied"
-			if fault.Drop {
-				cause = "dropped"
-			}
-			m.tr.RangeEnd(telemetry.HopMBAWrite, id, m.e.Now(), cause)
+	var dropped uint64
+	if fault.Drop {
+		dropped = 1
+	}
+	m.e.ScheduleAfter(m.cfg.WriteLatency+fault.ExtraLatency, m.writeDoneH, uint64(want), dropped)
+}
+
+// writeDone retires the in-flight write of level want.
+func (m *MBA) writeDone(want, dropped uint64) {
+	m.writing = false
+	if m.tr != nil {
+		cause := "applied"
+		if dropped != 0 {
+			cause = "dropped"
 		}
-		if fault.Drop {
-			// The hardware ate the write. Retry only if a newer target
-			// arrived while it was in flight (the driver's coalescing
-			// queue); an unchanged target is lost silently — recovering
-			// it is the watchdog's job (core.Watchdog read-back).
-			m.LostWrites++
-			if m.target != want {
-				m.startWrite()
-			}
-			return
-		}
-		m.apply(want)
-		if m.target != m.applied {
+		m.tr.RangeEnd(telemetry.HopMBAWrite, m.writeSeq-1, m.e.Now(), cause)
+	}
+	if dropped != 0 {
+		// The hardware ate the write. Retry only if a newer target
+		// arrived while it was in flight (the driver's coalescing
+		// queue); an unchanged target is lost silently — recovering
+		// it is the watchdog's job (core.Watchdog read-back).
+		m.LostWrites++
+		if m.target != int(want) {
 			m.startWrite()
 		}
-	})
+		return
+	}
+	m.apply(int(want))
+	if m.target != m.applied {
+		m.startWrite()
+	}
 }
 
 func (m *MBA) apply(l int) {

@@ -68,14 +68,13 @@ func TestMSRStaleWindow(t *testing.T) {
 	in.Arm()
 
 	var got []uint64
-	read := func() {
-		f.Read(msr.IIOOccupancy, func(v uint64, _ sim.Time, err error) {
-			if err != nil {
-				t.Fatalf("unexpected read error: %v", err)
-			}
-			got = append(got, v)
-		})
-	}
+	done := e.Handler(func(v, res uint64) {
+		if _, err := msr.ReadResult(res); err != nil {
+			t.Fatalf("unexpected read error: %v", err)
+		}
+		got = append(got, v)
+	})
+	read := func() { f.Read(msr.IIOOccupancy, done) }
 	// Before, inside, and after the window (reads take ~0.5-1.2 µs).
 	e.At(0, read)
 	e.At(15*sim.Microsecond, read)
@@ -105,13 +104,12 @@ func TestMSRFailWindow(t *testing.T) {
 	}}, Seams{MSR: f})
 	in.Arm()
 	var errs int
-	e.At(sim.Microsecond, func() {
-		f.Read(msr.IIOOccupancy, func(_ uint64, _ sim.Time, err error) {
-			if err != nil {
-				errs++
-			}
-		})
+	done := e.Handler(func(_, res uint64) {
+		if _, err := msr.ReadResult(res); err != nil {
+			errs++
+		}
 	})
+	e.At(sim.Microsecond, func() { f.Read(msr.IIOOccupancy, done) })
 	e.Run()
 	if errs != 1 {
 		t.Fatalf("in-window read did not fail")

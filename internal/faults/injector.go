@@ -87,9 +87,6 @@ func MustNewInjector(e *sim.Engine, plan Plan, s Seams) *Injector {
 // Plan returns the armed plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Active reports whether any window of the given kind is open.
-func (in *Injector) Active(k Kind) bool { return in.active[k] > 0 }
-
 // Arm installs the event-level hooks and schedules every window of the
 // plan. It must be called at most once.
 func (in *Injector) Arm() {

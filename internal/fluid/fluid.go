@@ -475,9 +475,6 @@ func (n *Network) Tick(_ sim.Time) {
 	n.delivered = delivered
 }
 
-// Resources returns the resource count.
-func (n *Network) Resources() int { return len(n.res) }
-
 // Flows returns the flow count.
 func (n *Network) Flows() int { return len(n.flows) }
 
@@ -514,6 +511,3 @@ func (n *Network) DeliveredBytes() float64 { return n.delivered }
 
 // QueueBytes returns resource r's current fluid queue depth.
 func (n *Network) QueueBytes(r ResourceID) float64 { return n.res[r].q }
-
-// ResourceName returns resource r's name.
-func (n *Network) ResourceName(r ResourceID) string { return n.res[r].name }

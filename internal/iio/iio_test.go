@@ -188,7 +188,7 @@ func TestMSRRegistration(t *testing.T) {
 	}
 	dp.feed(sim.Gbps(100), 4096+packet.HeaderLen, 100*sim.Microsecond)
 	var rocc uint64
-	dp.f.Read(msr.IIOOccupancy, func(v uint64, _ sim.Time, _ error) { rocc = v })
+	dp.f.Read(msr.IIOOccupancy, dp.e.Handler(func(v, _ uint64) { rocc = v }))
 	dp.e.Run()
 	if rocc == 0 {
 		t.Fatal("MSR read of ROCC returned 0 after traffic")

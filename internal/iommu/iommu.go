@@ -71,6 +71,11 @@ type IOMMU struct {
 
 	nextPage uint64 // allocator for descriptor buffer pages
 
+	// stepH continues a page walk when one level's read completes; the
+	// walks in flight wait in steps.
+	stepH sim.HandlerID
+	steps sim.Slots[walkStep]
+
 	// Hits and Misses count translations.
 	Hits   stats.Counter
 	Misses stats.Counter
@@ -86,13 +91,24 @@ func New(e *sim.Engine, mc *mem.Controller, cfg Config) *IOMMU {
 	if cfg.WorkingSetPages <= 0 {
 		cfg.WorkingSetPages = 512
 	}
-	return &IOMMU{
+	u := &IOMMU{
 		e:       e,
 		mc:      mc,
 		cfg:     cfg,
 		lru:     list.New(),
 		entries: make(map[uint64]*list.Element),
 	}
+	u.stepH = e.Handler(u.step)
+	return u
+}
+
+// walkStep is a page walk in flight: the page it translates, when it
+// started, the levels still to read and the caller's continuation.
+type walkStep struct {
+	page  uint64
+	start sim.Time
+	n     int
+	done  func()
 }
 
 // Config returns the configuration.
@@ -121,28 +137,28 @@ func (u *IOMMU) Translate(page uint64, done func()) {
 		return
 	}
 	u.Misses.Inc()
-	start := u.e.Now()
-	u.walk(u.cfg.WalkLevels, func() {
-		u.WalkTime += u.e.Now() - start
-		u.install(page)
-		done()
+	u.walk(walkStep{page: page, start: u.e.Now(), n: u.cfg.WalkLevels, done: done})
+}
+
+// walk issues the walk's next dependent page-table read, or installs the
+// translation once every level has been read.
+func (u *IOMMU) walk(w walkStep) {
+	if w.n == 0 {
+		u.WalkTime += u.e.Now() - w.start
+		u.install(w.page)
+		w.done()
+		return
+	}
+	w.n--
+	u.mc.Submit(mem.Request{
+		Size:       mem.CacheLine,
+		Class:      mem.ClassOther,
+		CompleteCB: sim.Callback{ID: u.stepH, Arg0: u.steps.Put(w)},
 	})
 }
 
-// walk performs n dependent page-table reads.
-func (u *IOMMU) walk(n int, done func()) {
-	if n == 0 {
-		done()
-		return
-	}
-	u.mc.Submit(mem.Request{
-		Size:  mem.CacheLine,
-		Class: mem.ClassOther,
-		OnComplete: func(sim.Time) {
-			u.walk(n-1, done)
-		},
-	})
-}
+// step is a page-table read's completion handler; arg0 is its walk slot.
+func (u *IOMMU) step(slot, _ uint64) { u.walk(u.steps.Take(slot)) }
 
 func (u *IOMMU) install(page uint64) {
 	if _, dup := u.entries[page]; dup {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -17,11 +18,17 @@ func testConfig() Config {
 	}
 }
 
+// onComplete registers fn as a handler and returns the CompleteCB that
+// hands it the request's measured latency.
+func onComplete(e *sim.Engine, fn func(lat sim.Time)) sim.Callback {
+	return sim.Callback{ID: e.Handler(func(_, lat uint64) { fn(sim.Time(lat)) })}
+}
+
 func TestUnloadedLatencyIsBasePlusService(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var lat sim.Time
-	c.Submit(Request{Size: 4000, Class: ClassIIO, OnComplete: func(l sim.Time) { lat = l }})
+	c.Submit(Request{Size: 4000, Class: ClassIIO, CompleteCB: onComplete(e, func(l sim.Time) { lat = l })})
 	e.Run()
 	// 4000B at 40GB/s = 100ns service + 100ns base.
 	if lat != 200 {
@@ -33,8 +40,9 @@ func TestQueueingInflatesLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var last sim.Time
+	done := onComplete(e, func(l sim.Time) { last = l })
 	for i := 0; i < 10; i++ {
-		c.Submit(Request{Size: 4000, Class: ClassMApp, OnComplete: func(l sim.Time) { last = l }})
+		c.Submit(Request{Size: 4000, Class: ClassMApp, CompleteCB: done})
 	}
 	e.Run()
 	// 10 requests x 100ns service, FCFS: the last sees 1000ns + 100 base.
@@ -47,8 +55,9 @@ func TestAdmissionGatedByWriteQueue(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig()) // 4096B queue = 102.4ns of service
 	var admits []sim.Time
+	admitted := sim.Callback{ID: e.Handler(func(_, _ uint64) { admits = append(admits, e.Now()) })}
 	for i := 0; i < 4; i++ {
-		c.Submit(Request{Size: 4096, Class: ClassIIO, OnAdmit: func() { admits = append(admits, e.Now()) }})
+		c.Submit(Request{Size: 4096, Class: ClassIIO, AdmitCB: admitted})
 	}
 	e.Run()
 	if len(admits) != 4 {
@@ -75,7 +84,7 @@ func TestEfficiencyDeratesService(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	var lat sim.Time
-	c.Submit(Request{Size: 4000, Class: ClassMApp, Efficiency: 0.5, OnComplete: func(l sim.Time) { lat = l }})
+	c.Submit(Request{Size: 4000, Class: ClassMApp, Efficiency: 0.5, CompleteCB: onComplete(e, func(l sim.Time) { lat = l })})
 	e.Run()
 	// Charged as 8000B: 200ns service + 100 base.
 	if lat != 300 {
@@ -118,13 +127,11 @@ func TestProportionalSharing(t *testing.T) {
 	e := sim.NewEngine(1)
 	c := NewController(e, testConfig())
 	c.MarkAll()
-	var runA, runB func()
-	runA = func() {
-		c.Submit(Request{Size: 2048, Class: ClassMApp, OnComplete: func(sim.Time) { runA() }})
-	}
-	runB = func() {
-		c.Submit(Request{Size: 1024, Class: ClassIIO, OnComplete: func(sim.Time) { runB() }})
-	}
+	var doneA, doneB sim.Callback
+	runA := func() { c.Submit(Request{Size: 2048, Class: ClassMApp, CompleteCB: doneA}) }
+	runB := func() { c.Submit(Request{Size: 1024, Class: ClassIIO, CompleteCB: doneB}) }
+	doneA = onComplete(e, func(sim.Time) { runA() })
+	doneB = onComplete(e, func(sim.Time) { runB() })
 	// A holds 4x2048, B holds 4x1024 outstanding.
 	for i := 0; i < 4; i++ {
 		runA()
@@ -191,17 +198,41 @@ func TestLatencyLowerBoundProperty(t *testing.T) {
 		for _, s := range sizes {
 			size := int(s%8192) + 1
 			minLat := testConfig().EffectiveBW.TimeFor(size) + testConfig().BaseLatency
-			c.Submit(Request{Size: size, Class: ClassOther, OnComplete: func(l sim.Time) {
+			c.Submit(Request{Size: size, Class: ClassOther, CompleteCB: onComplete(e, func(l sim.Time) {
 				if l < minLat {
 					ok = false
 				}
-			}})
+			})})
 		}
 		e.Run()
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The decay memo must leave the tracked rate bit-identical to decaying
+// with math.Exp directly, whether it hits, misses or evicts a colliding
+// entry.
+func TestDecayMemoExact(t *testing.T) {
+	c := NewController(sim.NewEngine(1), testConfig())
+	rng := rand.New(rand.NewSource(1))
+	now, want := sim.Time(0), 1e9
+	c.recent[ClassOther].rate = want
+	for i := 0; i < 20000; i++ {
+		dt := sim.Time(1 + rng.Int63n(500*int64(sim.Microsecond)))
+		if i%2 == 0 {
+			dt = sim.Time(1 + rng.Int63n(100)) // a small set: mostly hits
+		}
+		now += dt
+		want *= math.Exp(-float64(dt) / float64(rateTrackerTau))
+		if got := c.decayRecent(ClassOther, now).rate; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d (dt %d): rate %v, want %v", i, dt, got, want)
+		}
+		if want < 1 {
+			c.recent[ClassOther].rate, want = 1e9, 1e9
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package msr
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -72,7 +73,12 @@ type ReadFault struct {
 type File struct {
 	e       *sim.Engine
 	readers map[Address]func() uint64
+	addrs   []Address // registered reader addresses, ascending (Snapshot order)
 	writers map[Address]writer
+
+	// retireH retires a pending read; the reads in flight wait in pending.
+	retireH sim.HandlerID
+	pending sim.Slots[pendingRead]
 
 	// readFault, when set, is consulted on every Read (fault injection;
 	// see internal/faults). It must be deterministic given engine state.
@@ -90,14 +96,25 @@ type writer struct {
 	fn      func(uint64)
 }
 
+// pendingRead is one read in flight: its register, modeled latency, the
+// fault drawn for it, and the handler that receives the result.
+type pendingRead struct {
+	addr        Address
+	lat         sim.Time
+	fail, stale bool
+	done        sim.HandlerID
+}
+
 // NewFile returns an empty register file.
 func NewFile(e *sim.Engine) *File {
-	return &File{
+	f := &File{
 		e:        e,
 		readers:  make(map[Address]func() uint64),
 		writers:  make(map[Address]writer),
 		lastRead: make(map[Address]uint64),
 	}
+	f.retireH = e.Handler(f.retire)
+	return f
 }
 
 // SetReadFault installs the read-fault hook (nil removes it). The hook is
@@ -110,6 +127,8 @@ func (f *File) RegisterReader(addr Address, fn func() uint64) {
 		panic(fmt.Sprintf("msr: duplicate reader for %#x", uint32(addr)))
 	}
 	f.readers[addr] = fn
+	i, _ := slices.BinarySearch(f.addrs, addr)
+	f.addrs = slices.Insert(f.addrs, i, addr)
 }
 
 // RegisterWriter attaches a write handler with a given write latency.
@@ -131,15 +150,14 @@ func (f *File) readLatency() sim.Time {
 	return lat
 }
 
-// Read samples the register and invokes done with the value and the read's
-// modeled latency once the read retires. The value is captured at retire
-// time (the counter keeps counting while the read executes). err is nil
-// for a healthy read and ErrReadFailed when the access itself failed — a
-// failed read carries no value and callers must not fold val into any
-// signal state.
-func (f *File) Read(addr Address, done func(val uint64, lat sim.Time, err error)) {
-	fn, ok := f.readers[addr]
-	if !ok {
+// Read samples the register. Once the read retires, handler done is
+// dispatched with (val, res): val is the register value, captured at
+// retire time (the counter keeps counting while the read executes), and
+// res packs the read's modeled latency and outcome — decode it with
+// ReadResult. A failed read carries val 0, and callers must not fold it
+// into any signal state.
+func (f *File) Read(addr Address, done sim.HandlerID) {
+	if _, ok := f.readers[addr]; !ok {
 		panic(fmt.Sprintf("msr: read of unregistered register %#x", uint32(addr)))
 	}
 	var fault ReadFault
@@ -147,20 +165,37 @@ func (f *File) Read(addr Address, done func(val uint64, lat sim.Time, err error)
 		fault = f.readFault(addr)
 	}
 	lat := f.readLatency() + fault.ExtraLatency
-	f.e.After(lat, func() {
-		switch {
-		case fault.Fail:
-			f.FailedReads++
-			done(0, lat, ErrReadFailed)
-		case fault.Stale:
-			f.StaleReads++
-			done(f.lastRead[addr], lat, nil)
-		default:
-			v := fn()
-			f.lastRead[addr] = v
-			done(v, lat, nil)
-		}
-	})
+	slot := f.pending.Put(pendingRead{addr: addr, lat: lat, fail: fault.Fail, stale: fault.Stale, done: done})
+	f.e.ScheduleAfter(lat, f.retireH, slot, 0)
+}
+
+// retire completes a pending read; arg0 is its slot.
+func (f *File) retire(slot, _ uint64) {
+	r := f.pending.Take(slot)
+	res := uint64(r.lat) << 1
+	var v uint64
+	switch {
+	case r.fail:
+		f.FailedReads++
+		res |= 1
+	case r.stale:
+		f.StaleReads++
+		v = f.lastRead[r.addr]
+	default:
+		v = f.readers[r.addr]()
+		f.lastRead[r.addr] = v
+	}
+	f.e.Dispatch(r.done, v, res)
+}
+
+// ReadResult decodes the res argument a Read's done handler receives: the
+// read's modeled latency, and nil for a healthy read or ErrReadFailed when
+// the register access itself failed.
+func ReadResult(res uint64) (lat sim.Time, err error) {
+	if res&1 != 0 {
+		err = ErrReadFailed
+	}
+	return sim.Time(int64(res) >> 1), err
 }
 
 // Write stores val to the register, invoking done (optional) when the

@@ -6,6 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
+// onRead registers fn as a Read done handler that decodes the result.
+func onRead(e *sim.Engine, fn func(v uint64, lat sim.Time, err error)) sim.HandlerID {
+	return e.Handler(func(v, res uint64) {
+		lat, err := ReadResult(res)
+		fn(v, lat, err)
+	})
+}
+
 func TestReadReturnsCounterValueAtRetire(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := NewFile(e)
@@ -16,7 +24,7 @@ func TestReadReturnsCounterValueAtRetire(t *testing.T) {
 	e.At(100, func() { counter = 99 })
 	var got uint64
 	var lat sim.Time
-	f.Read(IIOOccupancy, func(v uint64, l sim.Time, _ error) { got, lat = v, l })
+	f.Read(IIOOccupancy, onRead(e, func(v uint64, l sim.Time, _ error) { got, lat = v, l }))
 	e.Run()
 	if got != 99 {
 		t.Fatalf("read value = %d, want retire-time 99", got)
@@ -31,16 +39,14 @@ func TestReadLatencyDistribution(t *testing.T) {
 	f := NewFile(e)
 	f.RegisterReader(IIOInsertions, func() uint64 { return 0 })
 	var lats []sim.Time
-	var issue func()
-	issue = func() {
-		f.Read(IIOInsertions, func(_ uint64, l sim.Time, _ error) {
-			lats = append(lats, l)
-			if len(lats) < 2000 {
-				issue()
-			}
-		})
-	}
-	issue()
+	var done sim.HandlerID
+	done = onRead(e, func(_ uint64, l sim.Time, _ error) {
+		lats = append(lats, l)
+		if len(lats) < 2000 {
+			f.Read(IIOInsertions, done)
+		}
+	})
+	f.Read(IIOInsertions, done)
 	e.Run()
 	var sum sim.Time
 	for _, l := range lats {
@@ -53,6 +59,49 @@ func TestReadLatencyDistribution(t *testing.T) {
 	// Mean should be near base + tail mean (~580ns), clipped slightly.
 	if mean < 500 || mean > 680 {
 		t.Fatalf("mean read latency = %.0fns, want ~580ns", mean)
+	}
+}
+
+// A failed read must stay distinguishable from a healthy read of value 0,
+// and the fault counters must count only their own reads.
+func TestFailedReadDistinctFromZero(t *testing.T) {
+	e := sim.NewEngine(1)
+	f := NewFile(e)
+	f.RegisterReader(IIOOccupancy, func() uint64 { return 0 })
+	var fault ReadFault
+	f.SetReadFault(func(Address) ReadFault { return fault })
+	type result struct {
+		v   uint64
+		lat sim.Time
+		err error
+	}
+	var got []result
+	done := onRead(e, func(v uint64, lat sim.Time, err error) { got = append(got, result{v, lat, err}) })
+	f.Read(IIOOccupancy, done)
+	e.Run()
+	fault = ReadFault{Fail: true, ExtraLatency: 5 * sim.Microsecond}
+	f.Read(IIOOccupancy, done)
+	e.Run()
+	fault = ReadFault{Stale: true}
+	f.Read(IIOOccupancy, done)
+	e.Run()
+	if len(got) != 3 {
+		t.Fatalf("%d reads retired, want 3", len(got))
+	}
+	if got[0].v != 0 || got[0].err != nil {
+		t.Errorf("healthy read = (%d, %v), want (0, nil)", got[0].v, got[0].err)
+	}
+	if got[1].err != ErrReadFailed {
+		t.Errorf("failed read err = %v, want ErrReadFailed", got[1].err)
+	}
+	if got[1].lat < readLatencyBase+5*sim.Microsecond {
+		t.Errorf("failed read latency %v lost its injected 5us", got[1].lat)
+	}
+	if got[2].v != 0 || got[2].err != nil {
+		t.Errorf("stale read = (%d, %v), want (0, nil)", got[2].v, got[2].err)
+	}
+	if f.FailedReads != 1 || f.StaleReads != 1 {
+		t.Errorf("FailedReads, StaleReads = %d, %d, want 1, 1", f.FailedReads, f.StaleReads)
 	}
 }
 
@@ -85,7 +134,7 @@ func TestUnregisteredAccessPanics(t *testing.T) {
 				t.Error("read of unregistered register did not panic")
 			}
 		}()
-		f.Read(Address(0xFFFF), func(uint64, sim.Time, error) {})
+		f.Read(Address(0xFFFF), onRead(e, func(uint64, sim.Time, error) {}))
 	}()
 	func() {
 		defer func() {

@@ -1,23 +1,18 @@
 package msr
 
-import (
-	"sort"
+import "repro/internal/snapshot"
 
-	"repro/internal/snapshot"
-)
-
-// Snapshot encodes the register file's read-side state. The lastRead map
-// is walked in sorted address order for determinism.
+// Snapshot encodes the register file's read-side state: the last value
+// of every register read so far, in ascending address order for
+// determinism. Only registered readers can have been read, so walking the
+// sorted reader addresses visits lastRead without allocating.
 func (f *File) Snapshot(e *snapshot.Encoder) {
-	addrs := make([]Address, 0, len(f.lastRead))
-	for a := range f.lastRead {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.U32(uint32(len(addrs)))
-	for _, a := range addrs {
-		e.U32(uint32(a))
-		e.U64(f.lastRead[a])
+	e.U32(uint32(len(f.lastRead)))
+	for _, a := range f.addrs {
+		if v, ok := f.lastRead[a]; ok {
+			e.U32(uint32(a))
+			e.U64(v)
+		}
 	}
 	e.I64(f.FailedReads)
 	e.I64(f.StaleReads)

@@ -44,12 +44,14 @@ const (
 )
 
 // NewPool returns a pool pre-populated with capacity recycled packets,
-// so a correctly-sized pool never allocates after construction.
+// so a correctly-sized pool never allocates after construction. The
+// packets share one backing array: two allocations, not capacity + 1.
 func NewPool(capacity int) *Pool {
-	p := &Pool{free: make([]*Packet, 0, capacity)}
-	for i := 0; i < capacity; i++ {
-		pkt := &Packet{poolState: poolStateRecycled}
-		p.free = append(p.free, pkt)
+	p := &Pool{free: make([]*Packet, capacity)}
+	slab := make([]Packet, capacity)
+	for i := range slab {
+		slab[i].poolState = poolStateRecycled
+		p.free[i] = &slab[i]
 	}
 	return p
 }

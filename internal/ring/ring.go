@@ -56,15 +56,20 @@ func (q *Queue[T]) Peek() T {
 
 // At returns the i-th element from the front (0 = front) without
 // removing it.
-func (q *Queue[T]) At(i int) T {
+func (q *Queue[T]) At(i int) T { return *q.Ref(i) }
+
+// Ref returns a pointer to the i-th element from the front (0 = front),
+// for in-place updates. It stays valid until the next Push, which may
+// move the backing array.
+func (q *Queue[T]) Ref(i int) *T {
 	if i < 0 || i >= q.n {
-		panic("ring: At out of range")
+		panic("ring: index out of range")
 	}
 	j := q.head + i
 	if j >= len(q.buf) {
 		j -= len(q.buf)
 	}
-	return q.buf[j]
+	return &q.buf[j]
 }
 
 // Reset empties the queue, zeroing stored elements so no pointers are

@@ -63,6 +63,10 @@ func TestPeekAndAt(t *testing.T) {
 	if q.At(1) != "c" {
 		t.Fatalf("At(1) after Pop = %q", q.At(1))
 	}
+	*q.Ref(1) = "z" // Ref updates the queued element in place
+	if q.At(1) != "z" || q.Pop() != "b" || q.Pop() != "z" {
+		t.Fatal("Ref did not update the element in place")
+	}
 }
 
 func TestReset(t *testing.T) {

@@ -55,11 +55,21 @@ type eventQueue struct {
 	b    [64][]event
 }
 
+// bucketMin is a bucket's capacity at its first event: it skips append's
+// first doubling steps, so a new engine warms up in fewer allocations.
+const bucketMin = 32
+
 func (q *eventQueue) push(ev event) {
-	i := bits.Len64(uint64(ev.at ^ q.last))
+	q.add(bits.Len64(uint64(ev.at^q.last)), ev)
+	q.n++
+}
+
+func (q *eventQueue) add(i int, ev event) {
+	if cap(q.b[i]) == 0 {
+		q.b[i] = make([]event, 0, bucketMin)
+	}
 	q.b[i] = append(q.b[i], ev)
 	q.mask |= 1 << i
-	q.n++
 }
 
 // lowest returns the lowest non-empty bucket above 0 and its earliest
@@ -91,9 +101,7 @@ func (q *eventQueue) popUntil(deadline Time) (event, bool) {
 		q.last = at
 		src := q.b[i]
 		for _, ev := range src {
-			j := bits.Len64(uint64(ev.at ^ at))
-			q.b[j] = append(q.b[j], ev)
-			q.mask |= 1 << j
+			q.add(bits.Len64(uint64(ev.at^at)), ev)
 		}
 		q.b[i] = src[:0]
 		q.mask &^= 1 << i
@@ -227,11 +235,6 @@ func (e *Engine) ScheduleAfter(d Time, id HandlerID, arg0, arg1 uint64) {
 		d = 0
 	}
 	e.Schedule(e.now+d, id, arg0, arg1)
-}
-
-// Invoke schedules a Callback at absolute time t (no-op when unset).
-func (e *Engine) Invoke(t Time, cb Callback) {
-	e.Schedule(t, cb.ID, cb.Arg0, cb.Arg1)
 }
 
 // Dispatch invokes a handler synchronously, without scheduling an event.

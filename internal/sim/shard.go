@@ -75,15 +75,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // shard is quiesced at the same barrier time).
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 
-// SetMinLookahead overrides the lower clamp of the synchronization
-// window (see DefaultMinLookahead). Call before the first Run.
-func (g *ShardGroup) SetMinLookahead(d Time) {
-	if d <= 0 {
-		panic("sim: non-positive minimum lookahead")
-	}
-	g.minLA = d
-}
-
 // Lookahead returns the group's conservative window: the minimum
 // boundary delay, clamped from below by the minimum lookahead.
 func (g *ShardGroup) Lookahead() Time {

@@ -34,16 +34,3 @@ func (s *Slots[T]) Take(slot uint64) T {
 	s.free = append(s.free, uint32(slot))
 	return v
 }
-
-// Len reports how many slots are currently occupied.
-func (s *Slots[T]) Len() int { return len(s.vals) - len(s.free) }
-
-// Reset drops all parked values and recycled slots.
-func (s *Slots[T]) Reset() {
-	var zero T
-	for i := range s.vals {
-		s.vals[i] = zero
-	}
-	s.vals = s.vals[:0]
-	s.free = s.free[:0]
-}

@@ -61,9 +61,6 @@ func (t *Timer) Stop() bool {
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.set }
 
-// Deadline returns the absolute fire time; meaningful only when Pending.
-func (t *Timer) Deadline() Time { return t.at }
-
 // Ticker invokes fn every interval until stopped. It is used for the
 // hostCC signal sampler and for time-series recorders.
 type Ticker struct {
@@ -86,14 +83,6 @@ func NewTicker(e *Engine, interval Time, fn func()) *Ticker {
 func (tk *Ticker) tick() {
 	tk.fn()
 	tk.t.Reset(tk.interval)
-}
-
-// SetInterval changes the tick period, effective from the next rearm.
-func (tk *Ticker) SetInterval(d Time) {
-	if d <= 0 {
-		panic("sim: SetInterval with non-positive interval")
-	}
-	tk.interval = d
 }
 
 // Stop halts the ticker.

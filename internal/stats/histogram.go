@@ -52,6 +52,10 @@ func (h *Histogram) valueOf(bucket int) float64 {
 	return math.Pow(h.base, float64(bucket-offset)+0.5)
 }
 
+// growSlack is how many spare buckets a histogram reserves when it grows,
+// so a rising tail does not reallocate once per new bucket.
+const growSlack = 16
+
 // Add records one observation.
 func (h *Histogram) Add(v float64) {
 	h.n++
@@ -68,9 +72,14 @@ func (h *Histogram) Add(v float64) {
 	}
 	i := h.bucketOf(v)
 	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// The length is the highest bucket seen (Snapshot encodes it);
+		// spare capacity past it is never written, so it holds zeros.
+		if i >= cap(h.counts) {
+			grown := make([]int64, i+1, i+1+growSlack)
+			copy(grown, h.counts)
+			h.counts = grown
+		}
+		h.counts = h.counts[:i+1]
 	}
 	h.counts[i]++
 }

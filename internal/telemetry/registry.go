@@ -83,44 +83,55 @@ func (i *Instrument) Histogram() *stats.Histogram { return i.hist }
 // ("receiver/nic/drops"). A nil *Registry is valid and ignores all
 // registrations, so components register unconditionally.
 type Registry struct {
-	by    map[string]*Instrument
-	order []*Instrument
+	by     map[string]*Instrument
+	blocks [][]Instrument // the instruments, in registration order
 }
+
+// instrumentBlock is how many instruments a registry allocates at once: a
+// testbed registers thousands, and blocks that never move keep both the
+// registration order and stable pointers without a growing index.
+const instrumentBlock = 64
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{by: make(map[string]*Instrument)}
 }
 
-func (r *Registry) add(i *Instrument) {
+func (r *Registry) add(in Instrument) {
 	if r == nil {
 		return
 	}
-	if _, dup := r.by[i.Name]; dup {
-		panic(fmt.Sprintf("telemetry: duplicate instrument %q", i.Name))
+	if _, dup := r.by[in.Name]; dup {
+		panic(fmt.Sprintf("telemetry: duplicate instrument %q", in.Name))
 	}
-	r.by[i.Name] = i
-	r.order = append(r.order, i)
+	n := len(r.blocks)
+	if n == 0 || len(r.blocks[n-1]) == instrumentBlock {
+		r.blocks = append(r.blocks, make([]Instrument, 0, instrumentBlock))
+		n++
+	}
+	b := append(r.blocks[n-1], in)
+	r.blocks[n-1] = b
+	r.by[in.Name] = &b[len(b)-1]
 }
 
 // Counter registers a monotonic counter read through fn.
 func (r *Registry) Counter(name, unit, help string, fn func() float64) {
-	r.add(&Instrument{Name: name, Kind: KindCounter, Unit: unit, Help: help, read: fn})
+	r.add(Instrument{Name: name, Kind: KindCounter, Unit: unit, Help: help, read: fn})
 }
 
 // Gauge registers an instantaneous value read through fn.
 func (r *Registry) Gauge(name, unit, help string, fn func() float64) {
-	r.add(&Instrument{Name: name, Kind: KindGauge, Unit: unit, Help: help, read: fn})
+	r.add(Instrument{Name: name, Kind: KindGauge, Unit: unit, Help: help, read: fn})
 }
 
 // Series registers a time-weighted running value read through fn.
 func (r *Registry) Series(name, unit, help string, fn func() float64) {
-	r.add(&Instrument{Name: name, Kind: KindSeries, Unit: unit, Help: help, read: fn})
+	r.add(Instrument{Name: name, Kind: KindSeries, Unit: unit, Help: help, read: fn})
 }
 
 // Histogram registers a distribution instrument over h.
 func (r *Registry) Histogram(name, unit, help string, h *stats.Histogram) {
-	r.add(&Instrument{Name: name, Kind: KindHistogram, Unit: unit, Help: help, hist: h,
+	r.add(Instrument{Name: name, Kind: KindHistogram, Unit: unit, Help: help, hist: h,
 		read: func() float64 { return float64(h.Count()) }})
 }
 
@@ -138,8 +149,10 @@ func (r *Registry) Each(fn func(*Instrument)) {
 	if r == nil {
 		return
 	}
-	for _, i := range r.order {
-		fn(i)
+	for _, b := range r.blocks {
+		for k := range b {
+			fn(&b[k])
+		}
 	}
 }
 
@@ -148,9 +161,9 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.order))
-	for _, i := range r.order {
-		out = append(out, i.Name)
+	out := make([]string, 0, len(r.by))
+	for name := range r.by {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
@@ -161,5 +174,5 @@ func (r *Registry) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.order)
+	return len(r.by)
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/host"
 	"repro/internal/iommu"
+	"repro/internal/mem"
 	"repro/internal/msr"
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -761,10 +762,10 @@ func (tb *Testbed) Collect() Metrics {
 	}
 
 	mc := tb.Receiver.MC
-	m.MemUtilNet = mc.UtilizationOf(memClassIIO) + mc.UtilizationOf(memClassEvict) + mc.UtilizationOf(memClassNetCopy)
-	m.MemUtilMApp = mc.UtilizationOf(memClassMApp)
+	m.MemUtilNet = mc.UtilizationOf(mem.ClassIIO) + mc.UtilizationOf(mem.ClassEviction) + mc.UtilizationOf(mem.ClassNetCopy)
+	m.MemUtilMApp = mc.UtilizationOf(mem.ClassMApp)
 	m.MemUtilTotal = mc.TotalUtilization()
-	m.MAppGBps = mc.RateOf(memClassMApp).GBps()
+	m.MAppGBps = mc.RateOf(mem.ClassMApp).GBps()
 	m.MAppTputGbps = m.MAppGBps * 8 / 1.33
 
 	if dt > 0 {
@@ -810,15 +811,6 @@ func (tb *Testbed) Processed() uint64 {
 	var n uint64
 	for _, e := range tb.engines {
 		n += e.Processed
-	}
-	return n
-}
-
-// PendingEvents returns queued events, summed across shards.
-func (tb *Testbed) PendingEvents() int {
-	n := 0
-	for _, e := range tb.engines {
-		n += e.Pending()
 	}
 	return n
 }

@@ -118,8 +118,7 @@ type Conn struct {
 	sndUna, sndNxt uint64
 	appQueue       int64
 	infinite       bool
-	segs           ring.Queue[*seg]
-	segFree        []*seg
+	segs           ring.Queue[seg]
 	dupAcks        int
 	inRecovery     bool
 	recoverSeq     uint64
@@ -249,14 +248,12 @@ func (c *Conn) trySend() {
 		if !c.infinite && int64(n) > c.appQueue {
 			n = int(c.appQueue)
 		}
-		s := c.getSeg()
-		*s = seg{seq: c.sndNxt, len: n}
-		c.segs.Push(s)
+		c.segs.Push(seg{seq: c.sndNxt, len: n})
 		c.sndNxt += uint64(n)
 		if !c.infinite {
 			c.appQueue -= int64(n)
 		}
-		c.transmitSeg(s, false)
+		c.transmitSeg(c.segs.Ref(c.segs.Len()-1), false)
 		c.advancePacer(n + packet.HeaderLen)
 	}
 	c.armTimers()
@@ -276,22 +273,6 @@ func (c *Conn) advancePacer(wire int) {
 	}
 	rate := sim.Rate(c.cfg.PacingFactor * float64(c.effCwnd()) / c.srtt.Seconds())
 	c.pacedUntil = max(c.pacedUntil, c.e.Now()) + rate.TimeFor(wire)
-}
-
-// getSeg/putSeg recycle segment records through a per-connection free
-// list, so long flows stop allocating once their window is warm.
-func (c *Conn) getSeg() *seg {
-	if n := len(c.segFree); n > 0 {
-		s := c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-		return s
-	}
-	return &seg{}
-}
-
-func (c *Conn) putSeg(s *seg) {
-	c.segFree = append(c.segFree, s)
 }
 
 func (c *Conn) transmitSeg(s *seg, retx bool) {
@@ -425,7 +406,6 @@ func (c *Conn) handleAck(p *packet.Packet) {
 			break
 		}
 		c.segs.Pop()
-		c.putSeg(s)
 	}
 
 	var rtt sim.Time
@@ -481,7 +461,7 @@ func (c *Conn) enterRecovery() {
 	c.cc.OnLoss(LossFastRetransmit)
 	if c.segs.Len() > 0 && !c.sackRetransmit() {
 		// No SACK information: classic fast retransmit of the head.
-		s := c.segs.Peek()
+		s := c.segs.Ref(0)
 		s.epoch = c.recoveryEpoch
 		c.transmitSeg(s, true)
 	}
@@ -494,7 +474,7 @@ func (c *Conn) applySack(blocks []packet.SackBlock) {
 			c.highSacked = b.Hi
 		}
 		for i := 0; i < c.segs.Len(); i++ {
-			s := c.segs.At(i)
+			s := c.segs.Ref(i)
 			if !s.sacked && s.seq >= b.Lo && s.seq+uint64(s.len) <= b.Hi {
 				s.sacked = true
 			}
@@ -515,7 +495,7 @@ func (c *Conn) sackRetransmit() bool {
 	// already overflowing buffer.
 	pipe := 0
 	for i := 0; i < c.segs.Len(); i++ {
-		s := c.segs.At(i)
+		s := c.segs.Ref(i)
 		if s.sacked {
 			continue
 		}
@@ -525,7 +505,7 @@ func (c *Conn) sackRetransmit() bool {
 	}
 	sent := false
 	for i := 0; i < c.segs.Len(); i++ {
-		s := c.segs.At(i)
+		s := c.segs.Ref(i)
 		if pipe >= c.effCwnd() {
 			break
 		}
@@ -558,7 +538,7 @@ func (c *Conn) onRTO() {
 	c.lastEpochBump = c.e.Now()
 	c.dupAcks = 0
 	if c.segs.Len() > 0 {
-		s := c.segs.Peek()
+		s := c.segs.Ref(0)
 		s.epoch = c.recoveryEpoch
 		c.transmitSeg(s, true)
 	}
@@ -573,7 +553,7 @@ func (c *Conn) onTLP() {
 	// Probe: retransmit the highest-sequence unacked segment.
 	c.TLPProbes.Inc()
 	if c.segs.Len() > 0 {
-		c.transmitSeg(c.segs.At(c.segs.Len()-1), true)
+		c.transmitSeg(c.segs.Ref(c.segs.Len()-1), true)
 	}
 }
 
